@@ -7,6 +7,7 @@ from .analysis import (
     EPS_PPT,
     CrossingError,
     GapTable,
+    NotEntangledError,
     SweepGrid,
     SweepRow,
     ThresholdError,

@@ -29,6 +29,7 @@ __all__ = [
     "SweepRow",
     "SweepGrid",
     "ThresholdError",
+    "NotEntangledError",
     "ThresholdResult",
     "WindowResult",
     "GapRow",
@@ -83,13 +84,18 @@ class ThresholdError(RuntimeError):
     """Raised when a PPT threshold cannot be bracketed as requested."""
 
 
+class NotEntangledError(ThresholdError):
+    """Raised when the partition is already PPT at the bracket's low end."""
+
+
 @dataclass(frozen=True)
 class ThresholdResult:
     """Outcome of one threshold bisection.
 
     The bracket satisfies E_N(bracket_lo) > EPS_PPT >= E_N(bracket_hi)
-    with bracket width at most the requested tolerance; t_threshold is
-    the bracket midpoint.
+    with bracket width at most the requested tolerance, or its ends are
+    adjacent floats when the tolerance is below float resolution;
+    t_threshold is the bracket midpoint.
     """
 
     spec: ModelSpec
@@ -145,6 +151,21 @@ def make_engine(spec: ModelSpec, max_spin_sites: int = MAX_SPIN_SITES_DEFAULT):
     if spec.kind == "harmonic":
         return GaussianModel(build_potential(spec))
     return SpinModel(build_spin_hamiltonian(spec, max_sites=max_spin_sites))
+
+
+def _bisect(above, lo: float, hi: float, tol: float) -> tuple:
+    """Halve [lo, hi], keeping above(lo) true and above(hi) false, until
+    it is no wider than tol or its ends are adjacent floats (the
+    midpoint rounds onto one of them)."""
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        if above(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
 
 
 def _beta_of(temperature: float) -> float:
@@ -240,7 +261,7 @@ def threshold_temperature(
 
     lo_val = e_n(t_lo)
     if lo_val <= EPS_PPT:
-        raise ThresholdError(
+        raise NotEntangledError(
             f"not entangled at T_lo={t_lo:g} (E_N={lo_val:.3e}); no threshold to find"
         )
     hi_val = e_n(t_hi)
@@ -261,13 +282,12 @@ def threshold_temperature(
             f"refining the largest-T crossing"
         )
         warnings.warn(warning, stacklevel=2)
-    lo, hi = float(ts[crossings[-1]]), float(ts[crossings[-1] + 1])
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if e_n(mid) > EPS_PPT:
-            lo = mid
-        else:
-            hi = mid
+    lo, hi = _bisect(
+        lambda t: e_n(t) > EPS_PPT,
+        float(ts[crossings[-1]]),
+        float(ts[crossings[-1] + 1]),
+        tol,
+    )
     return ThresholdResult(
         spec=spec,
         partition_id=partition.id,
@@ -311,10 +331,8 @@ def bound_entanglement_window(
             return threshold_temperature(
                 spec, part, t_lo=t_lo, t_hi=t_hi, tol=tol, engine=engine
             ).t_threshold
-        except ThresholdError as exc:
-            if "not entangled" in str(exc):
-                return None
-            raise
+        except NotEntangledError:
+            return None
 
     t_cert = try_threshold(certificate)
     t_wit = try_threshold(witness)
@@ -492,11 +510,10 @@ def star_external_crossing(
             f"{len(crossings)} crossings in the scan; refining the largest-T one",
             stacklevel=2,
         )
-    lo, hi = float(ts[crossings[-1]]), float(ts[crossings[-1] + 1])
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if diff(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
+    lo, hi = _bisect(
+        lambda t: diff(t) > 0.0,
+        float(ts[crossings[-1]]),
+        float(ts[crossings[-1] + 1]),
+        tol,
+    )
     return 0.5 * (lo + hi)

@@ -173,9 +173,12 @@ def _parse_int_list(text: str, where: str):
 
 def _parse_float_list(text: str, where: str):
     try:
-        return tuple(float(tok) for tok in text.replace(",", " ").split())
+        values = tuple(float(tok) for tok in text.replace(",", " ").split())
     except ValueError as exc:
         raise ConfigError(f"{where}: expected a comma-separated number list: {exc}")
+    if any(math.isnan(v) for v in values):
+        raise ConfigError(f"{where}: nan is not allowed")
+    return values
 
 
 _KNOWN_KEYS = {
@@ -266,8 +269,15 @@ class Experiment:
             self.temperatures = tuple(1.0 / b for b in betas)
         elif given == ["t_range"]:
             vals = _parse_float_list(schedule["t_range"], "schedule.t_range")
-            if len(vals) != 3 or vals[2] != int(vals[2]) or int(vals[2]) < 2:
-                raise ConfigError("schedule.t_range: expected 'lo,hi,count' with count >= 2")
+            if (
+                len(vals) != 3
+                or not all(math.isfinite(v) for v in vals)
+                or vals[2] != int(vals[2])
+                or int(vals[2]) < 2
+            ):
+                raise ConfigError(
+                    "schedule.t_range: expected finite 'lo,hi,count' with count >= 2"
+                )
             self.temperatures = tuple(
                 float(t) for t in np.linspace(vals[0], vals[1], int(vals[2]))
             )
@@ -304,10 +314,13 @@ class Experiment:
             raise ConfigError(f"run.jobs / run.tol: {exc}")
         if self.jobs < 1:
             raise ConfigError(f"run.jobs must be at least 1, got {self.jobs}")
-        if self.tol <= 0:
+        if not self.tol > 0:
             raise ConfigError(f"run.tol must be positive, got {self.tol}")
         env_cap = os.environ.get("THERMANEG_MAX_SPIN_SITES")
-        default_cap = int(env_cap) if env_cap else MAX_SPIN_SITES_DEFAULT
+        try:
+            default_cap = int(env_cap) if env_cap else MAX_SPIN_SITES_DEFAULT
+        except ValueError as exc:
+            raise ConfigError(f"THERMANEG_MAX_SPIN_SITES: {exc}")
         try:
             self.max_spin_sites = int(run.get("max_spin_sites", default_cap))
         except ValueError as exc:

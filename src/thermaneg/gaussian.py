@@ -9,13 +9,17 @@ state is pure.
 Log-negativity across a bipartition P (diagonal sign matrix) is
 computed by two deliberately independent routes:
 
-* spectral route: eigenvalues of Q = P w- P w+ with
-  w-+ = W^{-1} V^{-+1/2}; E_l sums log2 of the eigenvalues above 1.
+* spectral route: in the eigenbasis U of V, with s = sqrt(lambda),
+  w = coth(s/2T), M = U^T P U, D+ = diag(s/w) and D- = diag(1/(w s)),
+  the partially transposed product Q = P w- P w+ (w-+ = W^{-1}
+  V^{-+1/2}) satisfies U^T Q U = M D- M D+, which is similar to A A^T
+  with A = D+^{1/2} M D-^{1/2}.  E_l sums log2 of the eigenvalues of
+  the symmetric A A^T above 1, so the spectrum is real by construction.
 * sign-flip oracle: momentum signs of the +1 block are flipped on the
   full covariance, then E_l sums -log2 over the sub-unit eigenvalues
-  of the position-times-flipped-momentum product.  Those eigenvalues
-  are exactly the reciprocals of Q's, so the two routes agree to
-  solver precision.
+  of the position-times-flipped-momentum product, a nonsymmetric
+  eigenproblem.  It shares only the eigendecomposition of V with the
+  spectral route, and the two agree to solver precision.
 
 Convention note: each sub-unit eigenvalue in the oracle is the square
 of a symplectic eigenvalue nu of the sign-flipped covariance, so the
@@ -118,12 +122,17 @@ class GaussianModel:
         self._s = np.sqrt(lam)
 
     def _weights(self, temperature: float) -> np.ndarray:
-        """Diagonal of W(T) in the eigenbasis of V."""
-        if temperature < 0.0:
+        """Diagonal of W(T) in the eigenbasis of V.
+
+        As T -> inf, s/2T -> 0 and coth diverges; the infinite weights
+        are that exact limit, and they make the log-negativity 0.
+        """
+        if not temperature >= 0.0:
             raise ValueError(f"temperature must be nonnegative, got {temperature}")
         if temperature == 0.0:
             return np.ones_like(self._s)
-        return 1.0 / np.tanh(self._s / (2.0 * temperature))
+        with np.errstate(divide="ignore", over="ignore"):
+            return 1.0 / np.tanh(self._s / (2.0 * temperature))
 
     def covariance(self, temperature: float) -> ThermalGaussianState:
         w = self._weights(temperature)
@@ -134,26 +143,19 @@ class GaussianModel:
 
     def log_negativity(self, temperature: float, partition) -> float:
         """Spectral-route E_l in bits across the given partition."""
-        w = self._weights(temperature)
-        u = self._u
-        omega_minus = (u * (1.0 / (w * self._s))) @ u.T
-        omega_plus = (u * (self._s / w)) @ u.T
         signs = _labels(partition)
         if signs.shape != (self.n,):
             raise ValueError(
                 f"partition of size {signs.shape} does not match model size {self.n}"
             )
-        q = (signs[:, None] * omega_minus * signs[None, :]) @ omega_plus
-        ev = np.linalg.eigvals(q)
-        radius = float(np.max(np.abs(ev)))
-        worst = float(np.max(np.abs(ev.imag)))
-        if worst > _IMAG_TOL * radius:
-            raise ArithmeticError(
-                f"eigenvalues of the partition product left the real axis "
-                f"(max imaginary part {worst:.3e} at spectral radius {radius:.3e})"
-            )
-        real = ev.real
-        gains = real[real > 1.0 + _UNIT_CUTOFF]
+        w = self._weights(temperature)
+        u = self._u
+        # A = D+^{1/2} (U^T P U) D-^{1/2}; A A^T has the spectrum of Q
+        a = u.T @ (signs[:, None] * u)
+        a *= np.sqrt(self._s / w)[:, None]
+        a *= np.sqrt(1.0 / (w * self._s))[None, :]
+        ev = np.linalg.eigvalsh(a @ a.T)
+        gains = ev[ev > 1.0 + _UNIT_CUTOFF]
         return float(np.sum(np.log2(gains))) if gains.size else 0.0
 
     def negativity_pair(self, temperature: float, partition) -> tuple:
@@ -195,7 +197,12 @@ def symplectic_spectrum(state: ThermalGaussianState) -> np.ndarray:
 
 
 def log_negativity_spectral(potential, temperature: float, partition) -> float:
-    """E_l across a partition from the spectrum of Q = P w- P w+."""
+    """E_l across a partition from the symmetric spectrum of A A^T.
+
+    A = D+^{1/2} (U^T P U) D-^{1/2} in the eigenbasis of V; A A^T is
+    similar to U^T Q U = M D- M D+ with Q = P w- P w+, so its
+    eigenvalues are those of Q.
+    """
     return GaussianModel(potential).log_negativity(temperature, partition)
 
 

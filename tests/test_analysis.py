@@ -6,6 +6,7 @@ import pytest
 from thermaneg.analysis import (
     EPS_PPT,
     CrossingError,
+    NotEntangledError,
     SweepGrid,
     SweepRow,
     ThresholdError,
@@ -109,8 +110,9 @@ class TestThreshold:
 
     def test_never_entangled_has_its_own_message(self):
         flat = ModelSpec(kind="harmonic", topology="ring_nn", n_sites=8, c=0.0)
-        with pytest.raises(ThresholdError, match="not entangled at T_lo"):
+        with pytest.raises(NotEntangledError, match="not entangled at T_lo"):
             threshold_temperature(flat, even_odd(8))
+        assert issubclass(NotEntangledError, ThresholdError)
 
     def test_still_entangled_has_its_own_message(self):
         with pytest.raises(ThresholdError, match="still entangled at T_hi"):
@@ -120,6 +122,19 @@ class TestThreshold:
         res = threshold_temperature(RING, even_odd(8), tol=1e-3)
         assert res.bracket[1] - res.bracket[0] <= 1e-3
         assert res.tolerance == 1e-3
+
+    def test_default_tolerance_takes_83_evaluations(self):
+        # 64 scan points plus 19 halvings of one scan cell down to 1e-6
+        assert threshold_temperature(RING, even_odd(8)).evaluations == 83
+
+    def test_tolerance_below_float_resolution_still_returns(self):
+        engine = make_engine(RING)
+        res = threshold_temperature(RING, even_odd(8), tol=1e-300, engine=engine)
+        lo, hi = res.bracket
+        assert hi == np.nextafter(lo, math.inf)
+        assert engine.negativity_pair(lo, even_odd(8))[0] > EPS_PPT
+        assert engine.negativity_pair(hi, even_odd(8))[0] <= EPS_PPT
+        assert res.t_threshold in (lo, hi)
 
 
 class TestWindow:
@@ -141,6 +156,11 @@ class TestWindow:
         assert res.window is not None
         assert res.certificate_id == "half-half" and res.witness_id == "even-odd"
         assert "swapped" in res.note
+
+    def test_other_threshold_failures_propagate(self):
+        spec = ModelSpec(kind="harmonic", topology="ring_nn", n_sites=8, c=0.4)
+        with pytest.raises(ThresholdError, match="still entangled at T_hi"):
+            bound_entanglement_window(spec, half_half(8), even_odd(8), t_hi=0.3)
 
     def test_uncoupled_model_has_no_window(self):
         spec = ModelSpec(kind="harmonic", topology="ring_nn", n_sites=8, c=0.0)
@@ -252,6 +272,11 @@ class TestExternalCrossing:
     def test_small_star_pair_crosses_once(self):
         t_star = star_external_crossing(4, 6, h=0.0, tol=1e-3)
         assert 1.5 < t_star < 3.0
+
+    def test_tolerance_below_float_resolution_still_returns(self):
+        coarse = star_external_crossing(4, 6, h=0.0, tol=1e-3)
+        fine = star_external_crossing(4, 6, h=0.0, tol=1e-300)
+        assert fine == pytest.approx(coarse, abs=1e-3)
 
     def test_identical_sizes_rejected(self):
         with pytest.raises(ValueError):

@@ -33,6 +33,8 @@ RING_ARGS = [
     "--families", "even-odd,half-half",
 ]
 
+RING_NO_SCHEDULE = RING_ARGS[:RING_ARGS.index("--t-list")] + ["--families", "even-odd"]
+
 
 class TestSweepCommand:
     def test_happy_path(self, tmp_path):
@@ -104,6 +106,14 @@ class TestSweepCommand:
         # the sanitized message must stay inside the one error field
         assert len(bad.split(",")) == len(SWEEP_HEADER.split(","))
         assert "failed" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("schedule", [["--t-list", "inf"], ["--beta-list", "1e-320"]])
+    def test_infinite_temperature_is_separable(self, tmp_path, schedule):
+        code, text = run(tmp_path, *RING_NO_SCHEDULE, *schedule)
+        assert code == EXIT_OK
+        cells = text.splitlines()[1].split(",")
+        assert cells[5] == "inf" and cells[10:13] == ["0", "0", "1"]
 
     def test_lf_line_endings(self, tmp_path):
         out = tmp_path / "lf.csv"
@@ -198,6 +208,32 @@ class TestConfigHandling:
         )
         monkeypatch.delenv("THERMANEG_MAX_SPIN_SITES")
         assert main(spin + ["--out", str(tmp_path / "c.csv")]) == EXIT_OK
+
+    def test_non_integer_spin_cap_in_environment_is_a_config_error(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setenv("THERMANEG_MAX_SPIN_SITES", "abc")
+        code, text = run(tmp_path, *RING_ARGS)
+        assert code == EXIT_CONFIG and text is None
+        err = capsys.readouterr().err
+        assert err.startswith("config error: THERMANEG_MAX_SPIN_SITES")
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "schedule",
+        [
+            ["--t-list", "0.5,nan"],
+            ["--beta-list", "nan"],
+            ["--t-range", "nan,2,3"],
+            ["--t-range", "0.5,2,nan"],
+            ["--t-range", "0.5,inf,3"],
+            ["--t-list", "0.5", "--tol", "nan"],
+        ],
+    )
+    def test_non_numbers_are_config_errors(self, tmp_path, capsys, schedule):
+        code, text = run(tmp_path, *RING_NO_SCHEDULE, *schedule)
+        assert code == EXIT_CONFIG and text is None
+        assert capsys.readouterr().err.startswith("config error: ")
 
 
 class TestThresholdCommand:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,8 +16,16 @@ from thermaneg.gaussian import (
     symplectic_spectrum,
     thermal_covariance,
 )
-from thermaneg.lattice import build_ring_potential, build_star_potential
-from thermaneg.partitions import central_vs_rest, even_odd, from_mask, half_half
+from thermaneg.analysis import EPS_PPT, threshold_temperature
+from thermaneg.lattice import ModelSpec, build_ring_potential, build_star_potential
+from thermaneg.partitions import (
+    alternating_blocks,
+    central_vs_rest,
+    even_odd,
+    from_mask,
+    half_half,
+    transfer_sweep,
+)
 
 
 def random_spd(rng, n):
@@ -120,6 +129,18 @@ class TestLogNegativity:
         with pytest.raises(ValueError):
             model.log_negativity(0.3, half_half(6))
 
+    def test_nan_temperature_rejected(self):
+        model = GaussianModel(build_ring_potential(8, 0.4))
+        with pytest.raises(ValueError, match="temperature must be nonnegative"):
+            model.log_negativity(math.nan, half_half(8))
+
+    def test_infinite_temperature_is_separable_without_warnings(self):
+        model = GaussianModel(build_ring_potential(8, 0.4))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for t in (math.inf, 1.0 / 1e-320, 1e308):
+                assert model.negativity_pair(t, even_odd(8)) == (0.0, 0.0)
+
 
 class TestSymplecticOracle:
     def test_agrees_with_the_spectral_route_on_fixed_cases(self):
@@ -132,6 +153,28 @@ class TestSymplecticOracle:
             direct = log_negativity_spectral(v, t, p)
             oracle = log_negativity_symplectic_oracle(v, t, p)
             assert direct == pytest.approx(oracle, abs=1e-10)
+
+    @pytest.mark.parametrize("n, c", [(128, 0.4), (200, 0.3), (256, 0.45)])
+    def test_agrees_with_the_model_on_large_rings_around_each_threshold(self, n, c):
+        spec = ModelSpec(kind="harmonic", topology="ring_nn", n_sites=n, c=c)
+        v = build_ring_potential(n, c)
+        model = GaussianModel(v)
+        transfer = transfer_sweep(n, "ring_nn")
+        parts = [even_odd(n), half_half(n)] + [transfer[k] for k in (1, n // 6, n // 2 - 1)]
+        if n & (n - 1) == 0:
+            parts.append(alternating_blocks(n.bit_length() - 1, 3))
+        for p in parts:
+            t_th = threshold_temperature(
+                spec, p, t_lo=0.05, t_hi=2.0, tol=1e-3, scan_points=8, engine=model
+            ).t_threshold
+            values = []
+            for t in (0.5 * t_th, 0.97 * t_th, 1.03 * t_th):
+                e_l = model.log_negativity(t, p)
+                oracle = log_negativity_symplectic_oracle(v, t, p)
+                assert e_l == pytest.approx(oracle, abs=1e-10)
+                assert (2.0**e_l - 1.0 < EPS_PPT) == (2.0**oracle - 1.0 < EPS_PPT)
+                values.append(e_l)
+            assert values[1] > 0.0 and values[2] == 0.0
 
     def test_reports_zero_in_the_ppt_phase(self):
         v = build_ring_potential(8, 0.4)
