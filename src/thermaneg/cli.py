@@ -4,7 +4,7 @@ all serialized as deterministic CSV.
 
 Config files are flat INI text (section headers in brackets, key =
 value lines); every key can also be given as a command-line flag,
-which overrides the file.  Floats are printed with 12 significant
+which overrides the file.  CONFIG_KEYS lists each key once.  Floats are printed with 12 significant
 digits, rows follow a fixed order, and line endings are LF, so a given
 config and binary produce byte-identical output at any parallelism.
 """
@@ -55,10 +55,11 @@ class ConfigError(Exception):
     pass
 
 
-# Declarative parameters of the figure-reproduction presets.  The
-# reproduce command builds its runs from these entries, and the test
-# suite checks them against the quoted source parameters, so the values
-# live in exactly one place.
+# Declarative parameters of the figure-reproduction presets: parsed
+# values under the CONFIG_KEYS names, plus the command ("mode") and a
+# description.  The reproduce command builds its runs from these
+# entries, and the test suite checks them against the quoted source
+# parameters, so the values live in exactly one place.
 PRESETS = {
     "fig2": {
         "mode": "sweep",
@@ -125,7 +126,7 @@ PRESETS = {
         "n_list": (4, 6, 8, 10),
         "c": 0.0,
         "h": 0.0,
-        "t_grid": (0.5, 4.0, 50),
+        "t_range": (0.5, 4.0, 50),
         "families": ("central",),
         "description": "hub-vs-rest negativity curves of the spin star",
     },
@@ -136,7 +137,7 @@ PRESETS = {
         "n_list": (4, 6, 8, 10),
         "c": 0.0,
         "h": 0.0,
-        "t_grid": (0.5, 4.0, 50),
+        "t_range": (0.5, 4.0, 50),
         "families": ("external",),
         "external_sites": (2,),
         "description": "single-external-site negativity curves of the spin star",
@@ -160,44 +161,65 @@ def _sanitize(text: str) -> str:
 
 def _write_csv(path: str, header: str, rows) -> None:
     body = "\n".join([header] + [",".join(cells) for cells in rows]) + "\n"
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(body)
-
-
-def _parse_int_list(text: str, where: str):
     try:
-        return tuple(int(tok) for tok in text.replace(",", " ").split())
-    except ValueError as exc:
-        raise ConfigError(f"{where}: expected a comma-separated integer list: {exc}")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(body)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}")
 
 
-def _parse_float_list(text: str, where: str):
-    try:
-        values = tuple(float(tok) for tok in text.replace(",", " ").split())
-    except ValueError as exc:
-        raise ConfigError(f"{where}: expected a comma-separated number list: {exc}")
+def _ints(text: str) -> tuple:
+    return tuple(int(tok) for tok in text.replace(",", " ").split())
+
+
+def _floats(text: str) -> tuple:
+    values = tuple(float(tok) for tok in text.replace(",", " ").split())
     if any(math.isnan(v) for v in values):
-        raise ConfigError(f"{where}: nan is not allowed")
+        raise ValueError("nan is not allowed")
     return values
 
 
-_KNOWN_KEYS = {
-    "model": {"kind", "topology", "n", "n_list", "c", "h"},
-    "schedule": {"t_list", "beta_list", "t_range"},
-    "partitions": {
-        "families",
-        "blocks_nb",
-        "external_sites",
-        "transfer_order",
-        "certificate",
-        "witness",
-    },
-    "run": {"out", "jobs", "tol", "max_spin_sites"},
+def _words(text: str) -> tuple:
+    return tuple(text.replace(",", " ").split())
+
+
+# Every config key: its INI section, the parser of its text, and its
+# default.  The INI checks, the flags (--key, with '_' written '-') and
+# the presets, which hold already-parsed values, all follow this table.
+CONFIG_KEYS = {
+    "kind": ("model", str, None),
+    "topology": ("model", str, None),
+    "n": ("model", _ints, None),
+    "n_list": ("model", _ints, None),
+    "c": ("model", float, 0.0),
+    "h": ("model", float, 0.0),
+    "t_list": ("schedule", _floats, None),
+    "beta_list": ("schedule", _floats, None),
+    "t_range": ("schedule", _floats, None),
+    "families": ("partitions", _words, ()),
+    "blocks_nb": ("partitions", _ints, None),
+    "external_sites": ("partitions", _ints, (2,)),
+    "transfer_order": ("partitions", str, "forward"),
+    "certificate": ("partitions", str, None),
+    "witness": ("partitions", str, None),
+    "out": ("run", str, None),
+    "jobs": ("run", int, 1),
+    "tol": ("run", float, 1e-6),
+    "max_spin_sites": ("run", int, None),
 }
 
 
+def _parse(key: str, text: str):
+    section, parse, _ = CONFIG_KEYS[key]
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise ConfigError(f"{section}.{key}: {exc}")
+
+
 def _read_config_file(path: str) -> dict:
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    """The file's key texts, each checked to sit in its own section."""
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
     try:
         with open(path, encoding="utf-8") as fh:
             parser.read_file(fh, source=path)
@@ -205,70 +227,63 @@ def _read_config_file(path: str) -> dict:
         raise ConfigError(f"cannot read config file: {exc}")
     except configparser.Error as exc:
         raise ConfigError(f"config parse error: {exc}")
-    raw = {}
+    sections = sorted({section for section, _, _ in CONFIG_KEYS.values()})
+    texts = {}
     for section in parser.sections():
-        if section not in _KNOWN_KEYS:
+        if section not in sections:
             raise ConfigError(
-                f"unknown config section [{section}]; "
-                f"expected one of {sorted(_KNOWN_KEYS)}"
+                f"unknown config section [{section}]; expected one of {sections}"
             )
-        for key in parser[section]:
-            if key not in _KNOWN_KEYS[section]:
-                raise ConfigError(
-                    f"unknown key {section}.{key}; "
-                    f"known keys: {sorted(_KNOWN_KEYS[section])}"
-                )
-            raw.setdefault(section, {})[key] = parser[section][key]
-    return raw
+        for key, text in parser[section].items():
+            if CONFIG_KEYS.get(key, ("",))[0] != section:
+                known = [k for k, (s, _, _) in CONFIG_KEYS.items() if s == section]
+                raise ConfigError(f"unknown key {section}.{key}; known keys: {sorted(known)}")
+            texts[key] = text
+    return texts
 
 
 class Experiment:
-    """Typed view of a merged configuration."""
+    """A run's settings: parsed values keyed as in CONFIG_KEYS, checked
+    together, with the models and the temperature grid derived."""
 
-    def __init__(self, raw: dict):
-        model = raw.get("model", {})
-        schedule = raw.get("schedule", {})
-        parts = raw.get("partitions", {})
-        run = raw.get("run", {})
-
-        self.kind = model.get("kind")
-        if self.kind not in ("harmonic", "spin_half"):
+    def __init__(self, values: dict):
+        for key, (_, _, default) in CONFIG_KEYS.items():
+            setattr(self, key, values.get(key, default))
+        sizes = [v for v in (self.n, self.n_list) if v is not None]
+        if len(sizes) != 1:
+            raise ConfigError("give exactly one of model.n and model.n_list")
+        self.n_list = sizes[0]
+        self.temperatures = self._temperatures()
+        if self.transfer_order not in ("forward", "reversed"):
             raise ConfigError(
-                f"model.kind must be 'harmonic' or 'spin_half', got {self.kind!r}"
+                f"partitions.transfer_order must be 'forward' or 'reversed', "
+                f"got {self.transfer_order!r}"
             )
-        self.topology = model.get("topology")
-        if self.topology not in ("ring_nn", "star"):
-            raise ConfigError(
-                f"model.topology must be 'ring_nn' or 'star', got {self.topology!r}"
-            )
-        if "n" in model and "n_list" in model:
-            raise ConfigError("give either model.n or model.n_list, not both")
-        if "n" in model:
-            self.n_list = _parse_int_list(str(model["n"]), "model.n")
-        elif "n_list" in model:
-            self.n_list = _parse_int_list(str(model["n_list"]), "model.n_list")
-        else:
-            raise ConfigError("model.n (or model.n_list) is required")
-        try:
-            self.c = float(model.get("c", 0.0))
-            self.h = float(model.get("h", 0.0))
-        except ValueError as exc:
-            raise ConfigError(f"model.c / model.h: {exc}")
+        if self.jobs < 1:
+            raise ConfigError(f"run.jobs must be at least 1, got {self.jobs}")
+        if not self.tol > 0:
+            raise ConfigError(f"run.tol must be positive, got {self.tol}")
+        if self.max_spin_sites is None:
+            env_cap = os.environ.get("THERMANEG_MAX_SPIN_SITES")
+            try:
+                self.max_spin_sites = int(env_cap) if env_cap else MAX_SPIN_SITES_DEFAULT
+            except ValueError as exc:
+                raise ConfigError(f"THERMANEG_MAX_SPIN_SITES: {exc}")
+        self.specs = tuple(self._model(n) for n in self.n_list)
 
-        given = [k for k in ("t_list", "beta_list", "t_range") if k in schedule]
+    def _temperatures(self):
+        given = [k for k in ("t_list", "beta_list", "t_range") if getattr(self, k) is not None]
         if len(given) > 1:
             raise ConfigError(
                 f"schedule must set exactly one of t_list, beta_list, t_range; got {given}"
             )
-        if given == ["t_list"]:
-            self.temperatures = _parse_float_list(schedule["t_list"], "schedule.t_list")
-        elif given == ["beta_list"]:
-            betas = _parse_float_list(schedule["beta_list"], "schedule.beta_list")
-            if any(b <= 0 for b in betas):
+        temps = self.t_list
+        if self.beta_list is not None:
+            if any(b <= 0 for b in self.beta_list):
                 raise ConfigError("schedule.beta_list: inverse temperatures must be positive")
-            self.temperatures = tuple(1.0 / b for b in betas)
-        elif given == ["t_range"]:
-            vals = _parse_float_list(schedule["t_range"], "schedule.t_range")
+            temps = tuple(1.0 / b for b in self.beta_list)
+        if self.t_range is not None:
+            vals = self.t_range
             if (
                 len(vals) != 3
                 or not all(math.isfinite(v) for v in vals)
@@ -278,55 +293,12 @@ class Experiment:
                 raise ConfigError(
                     "schedule.t_range: expected finite 'lo,hi,count' with count >= 2"
                 )
-            self.temperatures = tuple(
-                float(t) for t in np.linspace(vals[0], vals[1], int(vals[2]))
-            )
-        else:
-            self.temperatures = None
+            temps = tuple(float(t) for t in np.linspace(vals[0], vals[1], int(vals[2])))
+        if temps is not None and len(set(temps)) != len(temps):
+            raise ConfigError(f"schedule: temperatures must be distinct, got {list(temps)}")
+        return temps
 
-        self.families = tuple(
-            tok.strip() for tok in parts.get("families", "").replace(",", " ").split()
-        )
-        self.blocks_nb = (
-            _parse_int_list(parts["blocks_nb"], "partitions.blocks_nb")
-            if "blocks_nb" in parts
-            else None
-        )
-        self.external_sites = (
-            _parse_int_list(parts["external_sites"], "partitions.external_sites")
-            if "external_sites" in parts
-            else (2,)
-        )
-        self.transfer_order = parts.get("transfer_order", "forward")
-        if self.transfer_order not in ("forward", "reversed"):
-            raise ConfigError(
-                f"partitions.transfer_order must be 'forward' or 'reversed', "
-                f"got {self.transfer_order!r}"
-            )
-        self.certificate = parts.get("certificate")
-        self.witness = parts.get("witness")
-
-        self.out = run.get("out")
-        try:
-            self.jobs = int(run.get("jobs", 1))
-            self.tol = float(run.get("tol", 1e-6))
-        except ValueError as exc:
-            raise ConfigError(f"run.jobs / run.tol: {exc}")
-        if self.jobs < 1:
-            raise ConfigError(f"run.jobs must be at least 1, got {self.jobs}")
-        if not self.tol > 0:
-            raise ConfigError(f"run.tol must be positive, got {self.tol}")
-        env_cap = os.environ.get("THERMANEG_MAX_SPIN_SITES")
-        try:
-            default_cap = int(env_cap) if env_cap else MAX_SPIN_SITES_DEFAULT
-        except ValueError as exc:
-            raise ConfigError(f"THERMANEG_MAX_SPIN_SITES: {exc}")
-        try:
-            self.max_spin_sites = int(run.get("max_spin_sites", default_cap))
-        except ValueError as exc:
-            raise ConfigError(f"run.max_spin_sites: {exc}")
-
-    def model_for(self, n: int) -> ModelSpec:
+    def _model(self, n: int) -> ModelSpec:
         try:
             spec = ModelSpec(
                 kind=self.kind, topology=self.topology, n_sites=n, c=self.c, h=self.h
@@ -340,56 +312,55 @@ class Experiment:
             )
         return spec
 
-    def _single_partition(self, token: str, n: int):
-        """One partition from a token like 'half-half' or 'external:3'."""
+    def partitions(self, token: str, n: int) -> list:
+        """The partitions one token names: even-odd, half-half, central,
+        transfer, external[:site] or blocks[:k].  A bare 'external' or
+        'blocks' stands for every entry of external_sites or blocks_nb."""
         name, _, arg = token.partition(":")
         topo = self.topology
         try:
             if name == "even-odd" and not arg:
-                return even_odd(n, topo)
+                return [even_odd(n, topo)]
             if name == "half-half" and not arg:
-                return half_half(n, topo)
+                return [half_half(n, topo)]
             if name == "central" and not arg:
-                return central_vs_rest(n, topo)
+                return [central_vs_rest(n, topo)]
+            if name == "transfer" and not arg:
+                fam = transfer_sweep(n, topo)
+                return fam[::-1] if self.transfer_order == "reversed" else fam
             if name == "external":
-                return single_external_vs_rest(n, int(arg) if arg else 2, topo)
-            if name == "blocks" and arg:
-                return alternating_blocks(_exponent_of(n), int(arg), topo)
+                sites = (int(arg),) if arg else self.external_sites
+                return [single_external_vs_rest(n, s, topo) for s in sites]
+            if name == "blocks":
+                nbs = (int(arg),) if arg else self.blocks_nb
+                if nbs is None:
+                    raise ConfigError("partitions.blocks_nb is required for a bare 'blocks'")
+                return [alternating_blocks(_exponent_of(n), nb, topo) for nb in nbs]
         except ValueError as exc:
             raise ConfigError(f"partition {token!r}: {exc}")
         raise ConfigError(
             f"unknown partition name {token!r}; expected even-odd, half-half, "
-            f"central, external[:site], or blocks:k"
+            f"central, transfer, external[:site], or blocks[:k]"
         )
 
     def partitions_for(self, n: int) -> list:
         if not self.families:
             raise ConfigError("partitions.families is required for this command")
-        out = []
-        for token in self.families:
-            name = token.partition(":")[0]
-            try:
-                if name == "transfer":
-                    fam = transfer_sweep(n, self.topology)
-                    out.extend(reversed(fam) if self.transfer_order == "reversed" else fam)
-                elif name == "blocks" and ":" not in token:
-                    nbs = self.blocks_nb
-                    if nbs is None:
-                        raise ConfigError(
-                            "partitions.blocks_nb is required when families includes 'blocks'"
-                        )
-                    n_exp = _exponent_of(n)
-                    out.extend(alternating_blocks(n_exp, nb, self.topology) for nb in nbs)
-                elif name == "external" and ":" not in token:
-                    out.extend(
-                        single_external_vs_rest(n, s, self.topology)
-                        for s in self.external_sites
-                    )
-                else:
-                    out.append(self._single_partition(token, n))
-            except ValueError as exc:
-                raise ConfigError(f"partitions.families ({token!r}): {exc}")
-        return out
+        parts = [p for token in self.families for p in self.partitions(token, n)]
+        ids = [p.id for p in parts]
+        if len(set(ids)) != len(ids):
+            raise ConfigError(f"partitions.families names a partition twice: {ids}")
+        return parts
+
+    def single(self, key: str, n: int):
+        """The one partition named by the certificate or witness key."""
+        token = getattr(self, key)
+        if not token:
+            raise ConfigError("partitions.certificate and partitions.witness are required")
+        parts = self.partitions(token, n)
+        if len(parts) != 1:
+            raise ConfigError(f"partitions.{key} must name one partition, got {token!r}")
+        return parts[0]
 
 
 def _exponent_of(n: int) -> int:
@@ -399,13 +370,12 @@ def _exponent_of(n: int) -> int:
     return exp
 
 
+def _model_cells(spec: ModelSpec) -> tuple:
+    return (spec.kind, spec.topology, str(spec.n_sites), _fmt(spec.c), _fmt(spec.h))
+
+
 def _sweep_cells(row) -> tuple:
     return (
-        row.kind,
-        row.topology,
-        str(row.n),
-        _fmt(row.c),
-        _fmt(row.h),
         _fmt(row.temperature),
         _fmt(row.beta),
         row.partition_id,
@@ -418,28 +388,26 @@ def _sweep_cells(row) -> tuple:
     )
 
 
-def _run_sweep_rows(exp: Experiment):
-    all_rows = []
-    for n in exp.n_list:
-        spec = exp.model_for(n)
-        parts = exp.partitions_for(n)
-        if exp.temperatures is None:
-            raise ConfigError("schedule (t_list, beta_list, or t_range) is required")
-        grid = analysis.sweep(
+def _sweep_grids(exp: Experiment) -> list:
+    if exp.temperatures is None:
+        raise ConfigError("schedule (t_list, beta_list, or t_range) is required")
+    return [
+        analysis.sweep(
             spec,
             exp.temperatures,
-            parts,
+            exp.partitions_for(spec.n_sites),
             jobs=exp.jobs,
             max_spin_sites=exp.max_spin_sites,
         )
-        all_rows.extend(grid.rows)
-    return all_rows
+        for spec in exp.specs
+    ]
 
 
 def cmd_sweep(exp: Experiment, out: str) -> int:
-    rows = _run_sweep_rows(exp)
-    _write_csv(out, SWEEP_HEADER, [_sweep_cells(r) for r in rows])
-    failed = sum(1 for r in rows if r.error)
+    grids = _sweep_grids(exp)
+    rows = [(grid.spec, row) for grid in grids for row in grid.rows]
+    _write_csv(out, SWEEP_HEADER, [_model_cells(s) + _sweep_cells(r) for s, r in rows])
+    failed = sum(1 for _, r in rows if r.error)
     if failed:
         print(f"{failed} of {len(rows)} cells failed; see the error column", file=sys.stderr)
         return EXIT_PARTIAL
@@ -448,26 +416,21 @@ def cmd_sweep(exp: Experiment, out: str) -> int:
 
 def cmd_threshold(exp: Experiment, out: str) -> int:
     rows, failures, successes = [], 0, 0
-    for n in exp.n_list:
-        spec = exp.model_for(n)
+    for spec in exp.specs:
         engine = analysis.make_engine(spec, max_spin_sites=exp.max_spin_sites)
-        for part in exp.partitions_for(n):
+        for part in exp.partitions_for(spec.n_sites):
             try:
                 res = analysis.threshold_temperature(
                     spec, part, tol=exp.tol, engine=engine
                 )
             except ThresholdError as exc:
-                print(f"threshold {part.id} (n={n}): {exc}", file=sys.stderr)
+                print(f"threshold {part.id} (n={spec.n_sites}): {exc}", file=sys.stderr)
                 failures += 1
                 continue
             successes += 1
             rows.append(
-                (
-                    spec.kind,
-                    spec.topology,
-                    str(n),
-                    _fmt(spec.c),
-                    _fmt(spec.h),
+                _model_cells(spec)
+                + (
                     res.partition_id,
                     _fmt(res.t_threshold),
                     _fmt(res.bracket[0]),
@@ -484,27 +447,20 @@ def cmd_threshold(exp: Experiment, out: str) -> int:
 
 
 def cmd_window(exp: Experiment, out: str) -> int:
-    if len(exp.n_list) != 1:
+    if len(exp.specs) != 1:
         raise ConfigError("the window command needs a single model.n")
-    if not exp.certificate or not exp.witness:
-        raise ConfigError("partitions.certificate and partitions.witness are required")
-    n = exp.n_list[0]
-    spec = exp.model_for(n)
+    (spec,) = exp.specs
     res = analysis.bound_entanglement_window(
         spec,
-        exp._single_partition(exp.certificate, n),
-        exp._single_partition(exp.witness, n),
+        exp.single("certificate", spec.n_sites),
+        exp.single("witness", spec.n_sites),
         tol=exp.tol,
         max_spin_sites=exp.max_spin_sites,
     )
     lo, hi = res.window if res.window else ("", "")
     rows = [
-        (
-            spec.kind,
-            spec.topology,
-            str(n),
-            _fmt(spec.c),
-            _fmt(spec.h),
+        _model_cells(spec)
+        + (
             res.certificate_id,
             res.witness_id,
             _fmt(lo) if lo != "" else "",
@@ -523,15 +479,12 @@ def cmd_window(exp: Experiment, out: str) -> int:
 
 
 def cmd_scaling(exp: Experiment, out: str) -> int:
-    if not exp.certificate or not exp.witness:
-        raise ConfigError("partitions.certificate and partitions.witness are required")
-    for n in exp.n_list:
-        exp.model_for(n)  # validate every size up front
+    specs = {spec.n_sites: spec for spec in exp.specs}
     table = analysis.type2_gap_table(
-        lambda n: exp.model_for(n),
+        specs.__getitem__,
         exp.n_list,
-        lambda n: exp._single_partition(exp.certificate, n),
-        lambda n: exp._single_partition(exp.witness, n),
+        lambda n: exp.single("certificate", n),
+        lambda n: exp.single("witness", n),
         tol=exp.tol,
         max_spin_sites=exp.max_spin_sites,
     )
@@ -558,84 +511,30 @@ def cmd_scaling(exp: Experiment, out: str) -> int:
 
 
 def cmd_factor_check(exp: Experiment, out: str) -> int:
-    if len(exp.n_list) != 1:
+    if len(exp.specs) != 1:
         raise ConfigError("the factor-check command needs a single model.n")
-    rows = _run_sweep_rows(exp)
-    grid = analysis.SweepGrid(spec=exp.model_for(exp.n_list[0]), rows=tuple(rows))
+    (grid,) = _sweep_grids(exp)
     try:
         residual = analysis.rank1_factorizability(grid)
     except ValueError as exc:
         print(f"factor-check: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    n_t = len({r.temperature for r in rows})
-    n_p = len({r.partition_id for r in rows})
+    n_t = len({r.temperature for r in grid.rows})
+    n_p = len({r.partition_id for r in grid.rows})
     _write_csv(
-        out,
-        FACTOR_HEADER,
-        [
-            (
-                exp.kind,
-                exp.topology,
-                str(exp.n_list[0]),
-                _fmt(exp.c),
-                _fmt(exp.h),
-                str(n_t),
-                str(n_p),
-                _fmt(residual),
-            )
-        ],
+        out, FACTOR_HEADER, [_model_cells(grid.spec) + (str(n_t), str(n_p), _fmt(residual))]
     )
     print(f"rank-one residual: {_fmt(residual)}")
     return EXIT_OK
 
 
-def _preset_experiment(preset: dict, jobs: int) -> Experiment:
-    raw = {
-        "model": {
-            "kind": preset["kind"],
-            "topology": preset["topology"],
-            "n_list": ",".join(str(n) for n in preset["n_list"]),
-            "c": str(preset["c"]),
-            "h": str(preset["h"]),
-        },
-        "schedule": {},
-        "partitions": {"families": ",".join(preset["families"])},
-        "run": {"jobs": str(jobs)},
-    }
-    if "beta_list" in preset:
-        raw["schedule"]["beta_list"] = ",".join(repr(b) for b in preset["beta_list"])
-    if "t_list" in preset:
-        raw["schedule"]["t_list"] = ",".join(repr(t) for t in preset["t_list"])
-    if "t_grid" in preset:
-        lo, hi, count = preset["t_grid"]
-        raw["schedule"]["t_range"] = f"{lo},{hi},{count}"
-    if "blocks_nb" in preset:
-        raw["partitions"]["blocks_nb"] = ",".join(str(b) for b in preset["blocks_nb"])
-    if "external_sites" in preset:
-        raw["partitions"]["external_sites"] = ",".join(
-            str(s) for s in preset["external_sites"]
-        )
-    if "transfer_order" in preset:
-        raw["partitions"]["transfer_order"] = preset["transfer_order"]
-    if "tol" in preset:
-        raw["run"]["tol"] = repr(preset["tol"])
-    return Experiment(raw)
-
-
-def cmd_reproduce(figure: str, out: str | None, jobs: int) -> int:
-    if figure not in PRESETS:
-        raise ConfigError(
-            f"unknown figure id {figure!r}; available: {', '.join(sorted(PRESETS))}"
-        )
-    preset = PRESETS[figure]
-    exp = _preset_experiment(preset, jobs)
-    path = out if out else f"{figure}.csv"
-    if preset["mode"] == "threshold":
-        code = cmd_threshold(exp, path)
-    else:
-        code = cmd_sweep(exp, path)
-    print(f"{figure}: {preset['description']} -> {path}")
-    return code
+COMMANDS = {
+    "sweep": (cmd_sweep, "negativity over a temperature-by-partition grid"),
+    "threshold": (cmd_threshold, "PPT threshold temperature per partition"),
+    "window": (cmd_window, "bound-entanglement temperature window"),
+    "scaling": (cmd_scaling, "threshold gaps across system sizes"),
+    "factor-check": (cmd_factor_check, "rank-one factorizability residual of a sweep"),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -647,77 +546,48 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_CONFIG)
 
 
-_OVERRIDE_FLAGS = [
-    # (flag, section, key)
-    ("--kind", "model", "kind"),
-    ("--topology", "model", "topology"),
-    ("--n", "model", "n"),
-    ("--n-list", "model", "n_list"),
-    ("--c", "model", "c"),
-    ("--h", "model", "h"),
-    ("--t-list", "schedule", "t_list"),
-    ("--beta-list", "schedule", "beta_list"),
-    ("--t-range", "schedule", "t_range"),
-    ("--families", "partitions", "families"),
-    ("--blocks-nb", "partitions", "blocks_nb"),
-    ("--external-sites", "partitions", "external_sites"),
-    ("--transfer-order", "partitions", "transfer_order"),
-    ("--certificate", "partitions", "certificate"),
-    ("--witness", "partitions", "witness"),
-    ("--jobs", "run", "jobs"),
-    ("--tol", "run", "tol"),
-    ("--max-spin-sites", "run", "max_spin_sites"),
-]
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
 
 
-def _add_common(sub):
-    sub.add_argument("--config", help="INI config file")
-    sub.add_argument("--out", help="output CSV path")
-    for flag, _, _ in _OVERRIDE_FLAGS:
-        sub.add_argument(flag)
-
-
-def _merge(args) -> Experiment:
-    raw = _read_config_file(args.config) if args.config else {}
-    for flag, section, key in _OVERRIDE_FLAGS:
-        value = getattr(args, flag.lstrip("-").replace("-", "_"), None)
-        if value is not None:
-            raw.setdefault(section, {})[key] = value
-    if getattr(args, "out", None):
-        raw.setdefault("run", {})["out"] = args.out
-    return Experiment(raw)
+def _merge(args, values: dict) -> Experiment:
+    """Experiment from typed values, overridden by the config file's
+    keys and then by the flags given."""
+    texts = _read_config_file(args.config) if getattr(args, "config", None) else {}
+    for key in CONFIG_KEYS:
+        if getattr(args, key, None) is not None:
+            texts[key] = getattr(args, key)
+    return Experiment({**values, **{key: _parse(key, t) for key, t in texts.items()}})
 
 
 def main(argv=None) -> int:
     parser = _Parser(prog="thermaneg", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
-    for name, helptext in (
-        ("sweep", "negativity over a temperature-by-partition grid"),
-        ("threshold", "PPT threshold temperature per partition"),
-        ("window", "bound-entanglement temperature window"),
-        ("scaling", "threshold gaps across system sizes"),
-        ("factor-check", "rank-one factorizability residual of a sweep"),
-    ):
-        _add_common(subs.add_parser(name, help=helptext))
+    for name, (_, helptext) in COMMANDS.items():
+        sub = subs.add_parser(name, help=helptext)
+        sub.add_argument("--config", help="INI config file")
+        for key in CONFIG_KEYS:
+            sub.add_argument(_flag(key))
     rep = subs.add_parser("reproduce", help="run a stored figure preset")
     rep.add_argument("figure", help=f"one of: {', '.join(sorted(PRESETS))}")
-    rep.add_argument("--out", help="output CSV path (default <figure>.csv)")
-    rep.add_argument("--jobs", type=int, default=1)
+    rep.add_argument(_flag("out"), help="output CSV path (default <figure>.csv)")
+    rep.add_argument(_flag("jobs"))
 
     args = parser.parse_args(argv)
     try:
-        if args.command == "reproduce":
-            return cmd_reproduce(args.figure, args.out, args.jobs)
-        exp = _merge(args)
-        out = exp.out or f"{args.command}.csv"
-        handler = {
-            "sweep": cmd_sweep,
-            "threshold": cmd_threshold,
-            "window": cmd_window,
-            "scaling": cmd_scaling,
-            "factor-check": cmd_factor_check,
-        }[args.command]
-        return handler(exp, out)
+        if args.command != "reproduce":
+            exp = _merge(args, {})
+            return COMMANDS[args.command][0](exp, exp.out or f"{args.command}.csv")
+        if args.figure not in PRESETS:
+            raise ConfigError(
+                f"unknown figure id {args.figure!r}; available: {', '.join(sorted(PRESETS))}"
+            )
+        preset = PRESETS[args.figure]
+        exp = _merge(args, preset)
+        out = exp.out or f"{args.figure}.csv"
+        code = COMMANDS[preset["mode"]][0](exp, out)
+        print(f"{args.figure}: {preset['description']} -> {out}")
+        return code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

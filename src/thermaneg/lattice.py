@@ -48,9 +48,9 @@ class ModelSpec:
     topology:
         ``"ring_nn"`` or ``"star"``.
     n_sites:
-        Number of particles.  Builders impose their own minima (the
-        ring potential needs at least 2 sites, the star at least 2);
-        a single spin with only the field term is allowed.
+        Number of particles: at least 2 for harmonic models (ring and
+        star potentials alike); a single spin with only the field term
+        is allowed.
     c:
         Harmonic coupling strength.  The ring potential requires
         0 <= c < 1/2 to stay positive definite, the star requires
@@ -59,6 +59,8 @@ class ModelSpec:
     h:
         Transverse field of the spin model.  Ignored for harmonic
         models.
+
+    Both c and h must be finite.
     """
 
     kind: str
@@ -76,7 +78,11 @@ class ModelSpec:
             )
         if self.n_sites < 1:
             raise ValueError(f"n_sites must be at least 1, got {self.n_sites}")
+        if not (np.isfinite(self.c) and np.isfinite(self.h)):
+            raise ValueError(f"couplings must be finite, got c={self.c}, h={self.h}")
         if self.kind == "harmonic":
+            if self.n_sites < 2:
+                raise ValueError(f"harmonic models need at least 2 sites, got {self.n_sites}")
             if self.topology == "ring_nn" and not 0.0 <= self.c < 0.5:
                 raise ValueError(
                     f"harmonic ring coupling must satisfy 0 <= c < 1/2, got c={self.c}"

@@ -1,7 +1,12 @@
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thermaneg.cli import (
+    CONFIG_KEYS,
     EXIT_CONFIG,
     EXIT_NUMERICAL,
     EXIT_OK,
@@ -34,6 +39,28 @@ RING_ARGS = [
 ]
 
 RING_NO_SCHEDULE = RING_ARGS[:RING_ARGS.index("--t-list")] + ["--families", "even-odd"]
+
+RING_MODEL = RING_ARGS[:RING_ARGS.index("--t-list")]
+SPIN_RING = ["sweep", "--kind", "spin_half", "--topology", "ring_nn", "--n", "4",
+             "--t-list", "1", "--families", "even-odd"]
+STAR_MODEL = ["sweep", "--kind", "harmonic", "--topology", "star", "--n", "4"]
+
+# Repeated temperatures or partitions and non-finite couplings: each is
+# a config error, reported on one line.
+REJECTED_INPUTS = [
+    RING_MODEL + ["--t-list", "0.5,0.5", "--families", "even-odd"],
+    RING_MODEL + ["--t-range", "1,1,5", "--families", "even-odd"],
+    RING_MODEL + ["--beta-list", "2,2", "--families", "even-odd"],
+    RING_MODEL + ["--t-list", "1", "--families", "even-odd,even-odd"],
+    STAR_MODEL + ["--c", "1", "--t-list", "1", "--families", "external",
+                  "--external-sites", "2,2"],
+    ["factor-check"] + RING_MODEL[1:] + ["--t-list", "0.3,0.3", "--families", "even-odd"],
+    STAR_MODEL + ["--c", "nan", "--t-list", "1", "--families", "central"],
+    STAR_MODEL + ["--c", "inf", "--t-list", "1", "--families", "central"],
+    SPIN_RING + ["--h", "nan"],
+    SPIN_RING + ["--h", "inf"],
+    RING_ARGS + ["--h", "nan"],
+]
 
 
 class TestSweepCommand:
@@ -171,10 +198,37 @@ class TestConfigHandling:
             ["sweep", "--kind", "harmonic", "--topology", "ring_nn", "--n", "9",
              "--c", "0.4", "--t-list", "1", "--families", "blocks",
              "--blocks-nb", "1"],  # blocks need a power of two
-        ],
+        ] + REJECTED_INPUTS,
     )
     def test_config_errors_exit_one(self, tmp_path, args):
         assert main(args + ["--out", str(tmp_path / "x.csv")]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("args", REJECTED_INPUTS)
+    def test_rejected_inputs_give_one_config_error_line(self, tmp_path, capsys, args):
+        code, text = run(tmp_path, *args)
+        assert code == EXIT_CONFIG and text is None
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            RING_ARGS,
+            ["threshold"] + RING_MODEL[1:] + ["--families", "even-odd", "--tol", "1e-3"],
+            ["window"] + RING_MODEL[1:] + ["--certificate", "half-half",
+                                           "--witness", "even-odd", "--tol", "1e-3"],
+            ["scaling"] + RING_MODEL[1:] + ["--certificate", "half-half",
+                                            "--witness", "even-odd", "--tol", "1e-3"],
+            ["factor-check"] + RING_ARGS[1:],
+            ["reproduce", "fig4"],
+        ],
+    )
+    def test_unwritable_output_is_a_config_error(self, tmp_path, capsys, args):
+        out = tmp_path / "missing" / "x.csv"
+        assert main(args + ["--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot write {out}")
+        assert len(err.splitlines()) == 1
 
     def test_unknown_config_key_rejected(self, tmp_path):
         cfg = tmp_path / "exp.ini"
@@ -357,6 +411,7 @@ class TestReproduce:
             assert preset["topology"] in ("ring_nn", "star")
             assert preset["families"]
             assert preset["description"]
+            assert set(preset) - {"mode", "description"} <= set(CONFIG_KEYS), name
 
     def test_block_sweep_preset_shape(self, tmp_path):
         code, text = run(tmp_path, "reproduce", "fig2")
@@ -380,3 +435,74 @@ class TestReproduce:
         assert main(["reproduce", "fig5", "--out", str(out1), "--jobs", "1"]) == EXIT_OK
         assert main(["reproduce", "fig5", "--out", str(out4), "--jobs", "4"]) == EXIT_OK
         assert out1.read_bytes() == out4.read_bytes()
+
+    @pytest.mark.parametrize("figure", ["fig5", "fig4-inset"])
+    def test_preset_equals_the_same_keys_given_as_flags(self, tmp_path, figure):
+        preset = PRESETS[figure]
+        flags = [preset["mode"]]
+        for key, value in preset.items():
+            if key in CONFIG_KEYS:
+                text = ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+                flags += ["--" + key.replace("_", "-"), text]
+        code_preset, text_preset = run(tmp_path, "reproduce", figure, name="preset.csv")
+        code_flags, text_flags = run(tmp_path, *flags, name="flags.csv")
+        assert code_preset == code_flags == EXIT_OK
+        assert text_preset == text_flags
+
+
+# Values drawn for the keys: numbers, non-numbers, repeats, empty text
+# and, for the word-valued keys, the words they accept.  No size exceeds
+# 6 and no spin cap 12, so no dense spin matrix grows beyond 64 x 64.
+FUZZ_NUMBERS = [
+    "", "0", "1", "2", "4", "6", "-1", "0.5", "1e-3", "nan", "inf", "-inf",
+    "1,1", "2,2", "0.5,2,3", "1,1,5", "abc", "%",
+]
+FUZZ_WORDS = [
+    "", "1", "abc", "%", "harmonic", "spin_half", "ring_nn", "star", "even-odd",
+    "half-half", "central", "transfer", "external", "external:3", "blocks", "blocks:1",
+    "even-odd,even-odd", "forward", "reversed",
+]
+WORD_KEYS = {"kind", "topology", "families", "transfer_order", "certificate", "witness"}
+FUZZ_BASES = [
+    {"kind": "harmonic", "topology": "ring_nn", "n": "4", "c": "0.4", "t_list": "0.3,0.5",
+     "families": "even-odd,half-half", "certificate": "half-half", "witness": "even-odd"},
+    {"kind": "spin_half", "topology": "star", "n": "4", "h": "0.5", "t_list": "0.5",
+     "families": "central,external", "certificate": "central", "witness": "external:2"},
+]
+
+
+def fuzzed_value(key):
+    """A drawn (key, value) pair; value None drops the key."""
+    pool = FUZZ_WORDS if key in WORD_KEYS else FUZZ_NUMBERS
+    return st.tuples(st.just(key), st.none() | st.sampled_from(pool))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    command=st.sampled_from(["sweep", "threshold", "window", "scaling", "factor-check"]),
+    base=st.sampled_from(FUZZ_BASES),
+    changes=st.lists(
+        st.sampled_from([key for key in CONFIG_KEYS if key != "out"]).flatmap(fuzzed_value),
+        max_size=4,
+    ).map(dict),
+    as_ini=st.booleans(),
+    env_cap=st.sampled_from([None, "", "4", "abc"]),
+)
+def test_cli_never_raises_on_fuzzed_input(command, base, changes, as_ini, env_cap):
+    keys = {k: v for k, v in {**base, **changes}.items() if v is not None}
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        if env_cap is None:
+            mp.delenv("THERMANEG_MAX_SPIN_SITES", raising=False)
+        else:
+            mp.setenv("THERMANEG_MAX_SPIN_SITES", env_cap)
+        argv = [command, "--out", f"{tmp}/out.csv"]
+        if as_ini:
+            sections = {}
+            for k, v in keys.items():
+                sections.setdefault(CONFIG_KEYS[k][0], []).append(f"{k} = {v}\n")
+            with open(f"{tmp}/exp.ini", "w") as fh:
+                fh.write("".join(f"[{s}]\n" + "".join(body) for s, body in sections.items()))
+            argv += ["--config", f"{tmp}/exp.ini"]
+        else:
+            argv += [f"--{k.replace('_', '-')}={v}" for k, v in keys.items()]
+        assert main(argv) in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_PARTIAL)

@@ -36,6 +36,26 @@ class TestModelSpec:
         with pytest.raises(ValueError):
             ModelSpec(**kwargs)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "base",
+        [
+            dict(kind="harmonic", topology="ring_nn", n_sites=4, c=0.1),
+            dict(kind="harmonic", topology="star", n_sites=4, c=1.0),
+            dict(kind="spin_half", topology="ring_nn", n_sites=4),
+            dict(kind="spin_half", topology="star", n_sites=4),
+        ],
+    )
+    @pytest.mark.parametrize("coupling", ["c", "h"])
+    def test_non_finite_couplings_rejected(self, base, coupling, value):
+        with pytest.raises(ValueError, match="finite"):
+            ModelSpec(**{**base, coupling: value})
+
+    @pytest.mark.parametrize("topology", ["ring_nn", "star"])
+    def test_single_oscillator_rejected(self, topology):
+        with pytest.raises(ValueError, match="at least 2 sites"):
+            ModelSpec(kind="harmonic", topology=topology, n_sites=1, c=0.1)
+
 
 class TestTopologyEdges:
     def test_ring_has_n_bonds(self):
