@@ -253,6 +253,10 @@ class Experiment:
         if len(sizes) != 1:
             raise ConfigError("give exactly one of model.n and model.n_list")
         self.n_list = sizes[0]
+        if not self.n_list:
+            raise ConfigError("model: give at least one size")
+        if len(set(self.n_list)) != len(self.n_list):
+            raise ConfigError(f"model: sizes must be distinct, got {list(self.n_list)}")
         self.temperatures = self._temperatures()
         if self.transfer_order not in ("forward", "reversed"):
             raise ConfigError(

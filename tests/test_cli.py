@@ -44,9 +44,10 @@ RING_MODEL = RING_ARGS[:RING_ARGS.index("--t-list")]
 SPIN_RING = ["sweep", "--kind", "spin_half", "--topology", "ring_nn", "--n", "4",
              "--t-list", "1", "--families", "even-odd"]
 STAR_MODEL = ["sweep", "--kind", "harmonic", "--topology", "star", "--n", "4"]
+RING_PAIR = ["--kind", "harmonic", "--topology", "ring_nn", "--n-list", "8,8", "--c", "0.4"]
 
-# Repeated temperatures or partitions and non-finite couplings: each is
-# a config error, reported on one line.
+# Repeated temperatures, partitions or sizes, an empty size list and
+# non-finite couplings: each is a config error, reported on one line.
 REJECTED_INPUTS = [
     RING_MODEL + ["--t-list", "0.5,0.5", "--families", "even-odd"],
     RING_MODEL + ["--t-range", "1,1,5", "--families", "even-odd"],
@@ -60,6 +61,14 @@ REJECTED_INPUTS = [
     SPIN_RING + ["--h", "nan"],
     SPIN_RING + ["--h", "inf"],
     RING_ARGS + ["--h", "nan"],
+    ["sweep", "--kind", "bogus", "--topology", "ring_nn", "--n", "", "--t-list", "1",
+     "--families", "even-odd"],
+    RING_MODEL[:RING_MODEL.index("--n")] + ["--n-list", "", "--c", "0.4", "--t-list", "1",
+                                            "--families", "even-odd"],
+    ["sweep"] + RING_PAIR + ["--t-list", "1", "--families", "even-odd"],
+    ["threshold"] + RING_PAIR + ["--families", "even-odd", "--tol", "1e-3"],
+    ["scaling"] + RING_PAIR + ["--certificate", "half-half", "--witness", "even-odd",
+                               "--tol", "1e-3"],
 ]
 
 

@@ -2,10 +2,27 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from thermaneg.lattice import ModelSpec, build_spin_hamiltonian
-from thermaneg.partitions import central_vs_rest, even_odd, from_mask, half_half
-from thermaneg.spin import SpinModel, negativity, partial_transpose, thermal_state
+from thermaneg.analysis import EPS_PPT
+from thermaneg.lattice import ModelSpec, SpinHamiltonian, build_spin_hamiltonian
+from thermaneg.partitions import (
+    alternating_blocks,
+    central_vs_rest,
+    even_odd,
+    from_mask,
+    half_half,
+    single_external_vs_rest,
+    transfer_sweep,
+)
+from thermaneg.spin import (
+    NEGATIVE_EIGENVALUE_CUTOFF,
+    SpinModel,
+    negativity,
+    partial_transpose,
+    thermal_state,
+)
 
 
 def ring(n, h=0.0):
@@ -16,7 +33,49 @@ def star(n, h=0.0):
     return build_spin_hamiltonian(ModelSpec(kind="spin_half", topology="star", n_sites=n, h=h))
 
 
+def dense_oracle(rho, partition):
+    """E_N from one dense eigensolve of the whole partial transpose."""
+    spectrum = np.linalg.eigvalsh(partial_transpose(rho, partition))
+    negative = spectrum[spectrum < NEGATIVE_EIGENVALUE_CUTOFF]
+    return float(-negative.sum()) if negative.size else 0.0
+
+
+def every_family(n, topology):
+    """Every member of every partition family defined at n sites.  From
+    nine sites on, the per-site families keep their last member only,
+    to hold the dense oracle's cost down."""
+    parts = [central_vs_rest(n, topology)]
+    externals = [single_external_vs_rest(n, s, topology) for s in range(2, n + 1)]
+    parts += externals[-1:] if n >= 9 else externals
+    if n % 2 == 0:
+        parts.append(half_half(n, topology))
+    if n % 2 == 0 and n >= 4:
+        parts.append(even_odd(n, topology))
+        transfers = transfer_sweep(n, topology)
+        parts += transfers[-1:] if n >= 9 else transfers
+    if n & (n - 1) == 0:
+        exp = n.bit_length() - 1
+        parts += [alternating_blocks(exp, nb, topology) for nb in range(1, exp + 1)]
+    unique = {p.mask: p for p in parts}
+    return list(unique.values())
+
+
 class TestThermalState:
+    def test_hamiltonian_coupling_two_sectors_is_refused(self):
+        # a transverse sigma_x on site 2 couples |00> to |01>: the total
+        # magnetisation is not conserved
+        entries = np.diag([1.0, 0.0, 0.0, -1.0])
+        entries[0, 1] = entries[1, 0] = 0.3
+        with pytest.raises(ValueError, match="magnetisation"):
+            SpinModel(SpinHamiltonian(n=2, entries=entries))
+
+    def test_entries_between_sectors_are_exactly_zero(self):
+        model = SpinModel(star(5, h=0.7))
+        bits = np.array([bin(b).count("1") for b in range(32)])
+        for t in (0.0, 0.5):
+            rho = model.thermal_rho(t)
+            assert not rho[bits[:, None] != bits[None, :]].any()
+
     def test_gibbs_state_basics(self):
         model = SpinModel(ring(4, h=0.7))
         for t in (0.0, 0.5, 2.0):
@@ -66,6 +125,17 @@ class TestThermalState:
 
 
 class TestPartialTranspose:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        labels=st.lists(st.sampled_from((-1, 1)), min_size=1, max_size=6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_is_an_involution_on_random_symmetric_matrices(self, labels, seed):
+        dim = 2 ** len(labels)
+        m = np.random.default_rng(seed).standard_normal((dim, dim))
+        rho = m + m.T
+        assert np.array_equal(partial_transpose(partial_transpose(rho, labels), labels), rho)
+
     def test_is_an_involution(self):
         rng = np.random.default_rng(3)
         m = rng.standard_normal((8, 8))
@@ -142,7 +212,77 @@ class TestNegativity:
         e_n, _ = model.negativity_pair(0.5, even_odd(4))
         assert e_n == pytest.approx(0.0, abs=1e-10)
 
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        topology=st.sampled_from(("ring_nn", "star")),
+        mask=st.lists(st.sampled_from("+-"), min_size=2, max_size=6).filter(
+            lambda m: len(set(m)) == 2
+        ),
+        h=st.floats(-2.0, 2.0),
+        t=st.one_of(st.just(0.0), st.floats(0.05, 3.0)),
+    )
+    def test_swapping_the_blocks_keeps_the_negativity(self, topology, mask, h, t):
+        # the transposes of the two blocks are transposes of each other,
+        # so each charge block q pairs with the block -q
+        n = len(mask)
+        spec = ModelSpec(kind="spin_half", topology=topology, n_sites=n, h=h)
+        rho = SpinModel(build_spin_hamiltonian(spec)).thermal_rho(t)
+        swapped = "".join("+" if ch == "-" else "-" for ch in mask)
+        direct = negativity(rho, from_mask("".join(mask)))[0]
+        assert negativity(rho, from_mask(swapped))[0] == pytest.approx(direct, abs=1e-12)
+
     def test_field_free_star_hub_value(self):
         model = SpinModel(star(4))
         e_n, _ = model.negativity_pair(0.5, central_vs_rest(4))
         assert e_n == pytest.approx(0.26216533476808, abs=1e-11)
+
+
+def eigensolve_sizes(monkeypatch):
+    """Record the size of every eigvalsh call from here on."""
+    sizes = []
+    solve = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: sizes.append(len(m)) or solve(m))
+    return sizes
+
+
+class TestChargeBlocks:
+    def test_magnetisation_conserving_state_takes_the_block_route(self, monkeypatch):
+        rho = SpinModel(star(6)).thermal_rho(0.5)
+        sizes = eigensolve_sizes(monkeypatch)
+        negativity(rho, central_vs_rest(6))
+        # the charge blocks of the hub transpose hold C(6, k) states
+        assert sizes == [1, 6, 15, 20, 15, 6, 1]
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    @pytest.mark.parametrize("topology", ["ring_nn", "star"])
+    def test_block_route_matches_the_dense_oracle(self, topology, n):
+        for h in (0.0, 0.7):
+            spec = ModelSpec(kind="spin_half", topology=topology, n_sites=n, h=h)
+            model = SpinModel(build_spin_hamiltonian(spec))
+            for t in (0.0, 0.5, 2.0):
+                rho = model.thermal_rho(t)
+                for p in every_family(n, topology):
+                    e_n = negativity(rho, p)[0]
+                    oracle = dense_oracle(rho, p)
+                    assert abs(e_n - oracle) <= 1e-12, (h, t, p.id)
+                    assert (e_n < EPS_PPT) == (oracle < EPS_PPT), (h, t, p.id)
+
+    def test_state_breaking_magnetisation_takes_the_dense_route(self, monkeypatch):
+        rng = np.random.default_rng(17)
+        m = rng.standard_normal((32, 32))
+        rho = m @ m.T
+        rho /= np.trace(rho)
+        sizes = eigensolve_sizes(monkeypatch)
+        for mask in ("+-+--", "+----", "--+++"):
+            p = from_mask(mask)
+            assert negativity(rho, p)[0] == dense_oracle(rho, p)
+        assert sizes == [32] * 6
+
+    def test_one_entry_between_sectors_takes_the_dense_route(self, monkeypatch):
+        rho = SpinModel(ring(4, h=0.3)).thermal_rho(0.5).copy()
+        # |0000> and |0001> differ in magnetisation
+        rho[0, 1] = rho[1, 0] = 1e-300
+        p = even_odd(4)
+        sizes = eigensolve_sizes(monkeypatch)
+        assert negativity(rho, p)[0] == dense_oracle(rho, p)
+        assert sizes == [16, 16]
