@@ -2,8 +2,11 @@
 diagnostics built on top of the two negativity engines.
 
 A partition counts as PPT when its E_N drops below ``EPS_PPT``; the
-same constant drives sweep flags, threshold bisection, and window
+same constant drives sweep flags, threshold brackets, and window
 verification so that every module reaches identical verdicts.
+Thresholds and crossings share one root finder (``_root``): a coarse
+guard scan, then safeguarded secant steps on a continuous margin, with
+the bracket moved by the verdict alone.
 """
 
 from __future__ import annotations
@@ -90,12 +93,13 @@ class NotEntangledError(ThresholdError):
 
 @dataclass(frozen=True)
 class ThresholdResult:
-    """Outcome of one threshold bisection.
+    """Outcome of one threshold search.
 
     The bracket satisfies E_N(bracket_lo) > EPS_PPT >= E_N(bracket_hi)
     with bracket width at most the requested tolerance, or its ends are
     adjacent floats when the tolerance is below float resolution;
-    t_threshold is the bracket midpoint.
+    t_threshold is the bracket midpoint.  ``evaluations`` counts the
+    engine spectra taken, guard scan included.
     """
 
     spec: ModelSpec
@@ -153,19 +157,65 @@ def make_engine(spec: ModelSpec, max_spin_sites: int = MAX_SPIN_SITES_DEFAULT):
     return SpinModel(build_spin_hamiltonian(spec, max_sites=max_spin_sites))
 
 
-def _bisect(above, lo: float, hi: float, tol: float) -> tuple:
-    """Halve [lo, hi], keeping above(lo) true and above(hi) false, until
-    it is no wider than tol or its ends are adjacent floats (the
-    midpoint rounds onto one of them)."""
+def _root(probe, ts, scan, tol: float):
+    """Refine the largest-T cell of a guard scan where the verdict falls.
+
+    ``probe(t)`` returns ``(above, margin)``: the verdict, and a
+    continuous margin that is positive where the verdict holds.  ``ts``
+    are the scan temperatures, ascending, and ``scan`` their probes.
+    Returns ``(lo, hi, warning)`` with above(lo) true and above(hi)
+    false, or None when the scan sees no such cell.
+
+    Inside the cell, Illinois-modified secant steps on the margin pick
+    the next temperature, kept at least tol/2 inside the bracket, while
+    the verdict alone decides which end moves.  The bracket must keep
+    to one halving per two steps: an even-numbered step that finds it
+    wider than cell / 2**(steps / 2) bisects instead, as does any step
+    whose end margins disagree in sign with the verdicts.  So after 2j
+    steps the bracket is at most cell / 2**j wide.  It stops once no
+    wider than tol, or when its midpoint rounds onto an end (adjacent
+    floats).
+    """
+    cells = [i for i in range(len(ts) - 1) if scan[i][0] and not scan[i + 1][0]]
+    if not cells:
+        return None
+    warning = None
+    if len(cells) > 1:
+        warning = (
+            f"coarse scan found {len(cells)} sign changes; "
+            f"refining the largest-T crossing"
+        )
+        warnings.warn(warning, stacklevel=3)
+    i = cells[-1]
+    lo, hi = ts[i], ts[i + 1]
+    g_lo, g_hi = scan[i][1], scan[i + 1][1]
+    cell = hi - lo
+    steps = 0
+    kept = 0  # +1 when the last step kept lo, -1 when it kept hi
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
-        if above(mid):
-            lo = mid
+        steps += 1
+        behind = steps % 2 == 0 and hi - lo > cell * 0.5 ** (steps // 2)
+        t = mid
+        if not behind and g_lo > 0.0 >= g_hi:
+            t = hi - g_hi * (hi - lo) / (g_hi - g_lo)
+            t = min(max(t, lo + 0.5 * tol), hi - 0.5 * tol)
+            if not lo < t < hi:
+                t = mid
+        above, g = probe(t)
+        if above:
+            lo, g_lo = t, g
+            if kept == -1:  # hi kept twice: Illinois halves its margin
+                g_hi *= 0.5
+            kept = -1
         else:
-            hi = mid
-    return lo, hi
+            hi, g_hi = t, g
+            if kept == 1:
+                g_lo *= 0.5
+            kept = 1
+    return lo, hi, warning
 
 
 def _beta_of(temperature: float) -> float:
@@ -237,15 +287,16 @@ def threshold_temperature(
     t_lo: float = _DEFAULT_BRACKET[0],
     t_hi: float = _DEFAULT_BRACKET[1],
     tol: float = 1e-6,
-    scan_points: int = 64,
+    scan_points: int = 8,
     engine=None,
     max_spin_sites: int = MAX_SPIN_SITES_DEFAULT,
 ) -> ThresholdResult:
     """Temperature where the partition's negativity dies out.
 
-    A coarse scan over ``scan_points`` equally spaced temperatures
-    locates the sign change of E_N - EPS_PPT, then bisection narrows
-    the bracket below ``tol``.  The partition must be entangled at
+    A guard scan over ``scan_points`` equally spaced temperatures
+    locates the largest-T cell where the verdict E_N > EPS_PPT falls,
+    and secant steps on the engine's ``ppt_margin`` narrow the bracket
+    below ``tol`` (see ``_root``).  The partition must be entangled at
     ``t_lo`` and PPT at ``t_hi``; each failure mode gets its own
     message.  Should the scan see several sign changes, the largest-T
     one is refined and a warning is attached.
@@ -254,40 +305,30 @@ def threshold_temperature(
         engine = make_engine(spec, max_spin_sites=max_spin_sites)
     evaluations = 0
 
-    def e_n(t: float) -> float:
+    def e_n_and_margin(t: float) -> tuple:
         nonlocal evaluations
         evaluations += 1
-        return engine.negativity_pair(t, partition)[0]
+        e_n, margin = engine.ppt_margin(t, partition)
+        return e_n, margin - EPS_PPT
 
-    lo_val = e_n(t_lo)
+    def probe(t: float) -> tuple:
+        e_n, margin = e_n_and_margin(t)
+        return e_n > EPS_PPT, margin
+
+    lo_val, lo_margin = e_n_and_margin(t_lo)
     if lo_val <= EPS_PPT:
         raise NotEntangledError(
             f"not entangled at T_lo={t_lo:g} (E_N={lo_val:.3e}); no threshold to find"
         )
-    hi_val = e_n(t_hi)
+    hi_val, hi_margin = e_n_and_margin(t_hi)
     if hi_val > EPS_PPT:
         raise ThresholdError(
             f"still entangled at T_hi={t_hi:g} (E_N={hi_val:.3e}); enlarge the bracket"
         )
 
-    ts = np.linspace(t_lo, t_hi, scan_points)
-    vals = [lo_val] + [e_n(t) for t in ts[1:-1]] + [hi_val]
-    crossings = [
-        i for i in range(len(ts) - 1) if vals[i] > EPS_PPT >= vals[i + 1]
-    ]
-    warning = None
-    if len(crossings) > 1:
-        warning = (
-            f"coarse scan found {len(crossings)} sign changes; "
-            f"refining the largest-T crossing"
-        )
-        warnings.warn(warning, stacklevel=2)
-    lo, hi = _bisect(
-        lambda t: e_n(t) > EPS_PPT,
-        float(ts[crossings[-1]]),
-        float(ts[crossings[-1] + 1]),
-        tol,
-    )
+    ts = [float(t) for t in np.linspace(t_lo, t_hi, scan_points)]
+    scan = [(True, lo_margin)] + [probe(t) for t in ts[1:-1]] + [(False, hi_margin)]
+    lo, hi, warning = _root(probe, ts, scan, tol)
     return ThresholdResult(
         spec=spec,
         partition_id=partition.id,
@@ -469,9 +510,10 @@ def star_external_crossing(
     Below the returned T* the larger of the two systems has the smaller
     single-external-site E_N; above it the larger system wins.  The
     difference small-system minus large-system is scanned over
-    ``t_range`` for a positive-to-negative sign change and bisected to
-    ``tol``.  No such change, or only changes of the opposite
-    orientation, raise CrossingError.
+    ``t_range`` for a positive-to-negative sign change, and the
+    largest-T one is narrowed to ``tol`` by secant steps on that
+    difference (see ``_root``).  No such change, or only changes of the
+    opposite orientation, raise CrossingError.
     """
     from .partitions import single_external_vs_rest
 
@@ -485,19 +527,18 @@ def star_external_crossing(
         engines[n] = make_engine(spec, max_spin_sites=max_spin_sites)
         parts[n] = single_external_vs_rest(n, 2)
 
-    def diff(t: float) -> float:
+    def probe(t: float) -> tuple:
         small = engines[n_small].negativity_pair(t, parts[n_small])[0]
         large = engines[n_large].negativity_pair(t, parts[n_large])[0]
-        return small - large
+        diff = small - large
+        return diff > 0.0, diff
 
-    ts = np.linspace(t_range[0], t_range[1], scan_points)
-    vals = [diff(t) for t in ts]
-    crossings = [i for i in range(len(ts) - 1) if vals[i] > 0.0 >= vals[i + 1]]
-    if not crossings:
-        reversed_changes = any(
-            vals[i] < 0.0 <= vals[i + 1] for i in range(len(ts) - 1)
-        )
-        if reversed_changes:
+    ts = [float(t) for t in np.linspace(t_range[0], t_range[1], scan_points)]
+    scan = [probe(t) for t in ts]
+    found = _root(probe, ts, scan, tol)
+    if found is None:
+        diffs = [d for _, d in scan]
+        if any(diffs[i] < 0.0 <= diffs[i + 1] for i in range(len(ts) - 1)):
             raise CrossingError(
                 "curves cross with the opposite orientation in "
                 f"({t_range[0]:g}, {t_range[1]:g})"
@@ -505,15 +546,5 @@ def star_external_crossing(
         raise CrossingError(
             f"no crossing of external-site negativities in ({t_range[0]:g}, {t_range[1]:g})"
         )
-    if len(crossings) > 1:
-        warnings.warn(
-            f"{len(crossings)} crossings in the scan; refining the largest-T one",
-            stacklevel=2,
-        )
-    lo, hi = _bisect(
-        lambda t: diff(t) > 0.0,
-        float(ts[crossings[-1]]),
-        float(ts[crossings[-1] + 1]),
-        tol,
-    )
+    lo, hi, _ = found
     return 0.5 * (lo + hi)

@@ -141,8 +141,8 @@ class GaussianModel:
         p = _sym((u * (w * self._s)) @ u.T)
         return ThermalGaussianState(x_block=x, p_block=p, temperature=temperature)
 
-    def log_negativity(self, temperature: float, partition) -> float:
-        """Spectral-route E_l in bits across the given partition."""
+    def _spectrum(self, temperature: float, partition) -> np.ndarray:
+        """Ascending eigenvalues of A A^T, which are those of Q."""
         signs = _labels(partition)
         if signs.shape != (self.n,):
             raise ValueError(
@@ -154,14 +154,33 @@ class GaussianModel:
         a = u.T @ (signs[:, None] * u)
         a *= np.sqrt(self._s / w)[:, None]
         a *= np.sqrt(1.0 / (w * self._s))[None, :]
-        ev = np.linalg.eigvalsh(a @ a.T)
-        gains = ev[ev > 1.0 + _UNIT_CUTOFF]
-        return float(np.sum(np.log2(gains))) if gains.size else 0.0
+        return np.linalg.eigvalsh(a @ a.T)
+
+    def log_negativity(self, temperature: float, partition) -> float:
+        """Spectral-route E_l in bits across the given partition."""
+        return _log_gain(self._spectrum(temperature, partition))
 
     def negativity_pair(self, temperature: float, partition) -> tuple:
         """(E_N, E_l) with E_N = 2**E_l - 1."""
         el = self.log_negativity(temperature, partition)
         return (2.0**el - 1.0, el)
+
+    def ppt_margin(self, temperature: float, partition) -> tuple:
+        """(E_N, lambda_max(A A^T) - 1) from one spectrum.
+
+        The margin is positive exactly where some eigenvalue exceeds 1
+        and varies smoothly through the PPT threshold, where E_N, a sum
+        over the modes that are still entangled, can set in with a
+        power law.
+        """
+        ev = self._spectrum(temperature, partition)
+        return (2.0 ** _log_gain(ev) - 1.0, float(ev[-1]) - 1.0)
+
+
+def _log_gain(ev: np.ndarray) -> float:
+    """E_l: log2 summed over the eigenvalues of A A^T above 1."""
+    gains = ev[ev > 1.0 + _UNIT_CUTOFF]
+    return float(np.sum(np.log2(gains))) if gains.size else 0.0
 
 
 def matrix_sqrt_pair(potential) -> MatrixFunctionPair:

@@ -133,6 +133,8 @@ class SpinHamiltonian:
     def __post_init__(self):
         if self.entries.shape != (2**self.n, 2**self.n):
             raise ValueError("spin Hamiltonian dimension does not match site count")
+        if not np.array_equal(self.entries, self.entries.T):
+            raise ValueError("spin Hamiltonian must be exactly symmetric")
         _frozen(self.entries)
 
 

@@ -135,6 +135,19 @@ class SpinModel:
         """(E_N, E_l) across the partition at one temperature."""
         return negativity(self.thermal_rho(temperature), partition)
 
+    def ppt_margin(self, temperature: float, partition) -> tuple:
+        """(E_N, margin) from one spectrum of the partial transpose.
+
+        The margin is E_N while some eigenvalue lies below the cutoff
+        and -lambda_min otherwise, so it falls through 0 where E_N
+        does.  E_N alone vanishes on the PPT side, and -lambda_min
+        alone misplaces the root when the lowest eigenvalue is
+        degenerate (E_N = 2 |lambda_min| for a pair).
+        """
+        spectrum = _pt_spectrum(self.thermal_rho(temperature), partition)
+        e_n = _e_n(spectrum)
+        return (e_n, e_n if e_n > 0.0 else -float(spectrum.min()))
+
 
 def thermal_state(hamiltonian, temperature: float) -> SpinThermalState:
     """Gibbs state exp(-H/T), normalized; T = 0 gives the uniform
@@ -173,6 +186,18 @@ def negativity(rho, partition) -> tuple:
 
     E_N adds up |eigenvalue| over the spectrum of the partial transpose
     below -1e-12; E_l = log2(1 + E_N).
+    """
+    e_n = _e_n(_pt_spectrum(rho, partition))
+    return (e_n, math.log2(1.0 + e_n))
+
+
+def _e_n(spectrum: np.ndarray) -> float:
+    negative = spectrum[spectrum < NEGATIVE_EIGENVALUE_CUTOFF]
+    return float(-negative.sum()) if negative.size else 0.0
+
+
+def _pt_spectrum(rho, partition) -> np.ndarray:
+    """Eigenvalues of the partial transpose, block by block.
 
     A state that conserves the magnetisation has a partial transpose
     that is block diagonal in the charge imbalance q = N_B - N_A, the
@@ -187,7 +212,4 @@ def negativity(rho, partition) -> tuple:
     transposed = sum(1 << (len(labels) - 1 - i) for i, s in enumerate(labels) if s > 0)
     charge = _ones(dim, (dim - 1) ^ transposed) - _ones(dim, transposed)
     blocks = _blocks(pt, _groups(charge)) or [pt]
-    spectrum = np.concatenate([np.linalg.eigvalsh(block) for block in blocks])
-    negative = spectrum[spectrum < NEGATIVE_EIGENVALUE_CUTOFF]
-    e_n = float(-negative.sum()) if negative.size else 0.0
-    return (e_n, math.log2(1.0 + e_n))
+    return np.concatenate([np.linalg.eigvalsh(block) for block in blocks])

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thermaneg.analysis import (
     EPS_PPT,
@@ -24,6 +26,36 @@ from thermaneg.partitions import central_vs_rest, even_odd, half_half
 from thermaneg.spin import SpinModel
 
 RING = ModelSpec(kind="harmonic", topology="ring_nn", n_sites=8, c=0.4)
+
+
+def assert_bracket_contract(engine, partition, res):
+    """E_N(lo) > EPS_PPT >= E_N(hi), width <= tol, midpoint reported."""
+    lo, hi = res.bracket
+    assert lo < hi and hi - lo <= res.tolerance
+    assert res.t_threshold == 0.5 * (lo + hi)
+    assert engine.ppt_margin(lo, partition)[0] > EPS_PPT
+    assert engine.ppt_margin(hi, partition)[0] <= EPS_PPT
+
+
+def even_odd_closed_form(c: float) -> float:
+    """Root of coth(s0/2T) coth(s_pi/2T) = s_pi/s0, by bisection.
+
+    The kappa = 0 block of the even-odd ring has lambda_max = 1 there,
+    for every even n; below it the product is smaller (entangled).
+    """
+    s0, s_pi = math.sqrt(1.0 - 2.0 * c), math.sqrt(1.0 + 2.0 * c)
+
+    def entangled(t):
+        return 1.0 / (math.tanh(s0 / (2 * t)) * math.tanh(s_pi / (2 * t))) < s_pi / s0
+
+    lo, hi = 0.01, 20.0
+    while hi - lo > 1e-14:
+        mid = 0.5 * (lo + hi)
+        if entangled(mid):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 class TestMakeEngine:
@@ -94,7 +126,8 @@ class TestThreshold:
         assert res.bracket[1] - res.bracket[0] <= 1e-6
         assert res.bracket[0] <= res.t_threshold <= res.bracket[1]
         assert res.warning is None
-        assert res.evaluations > 60
+        assert res.evaluations == 18
+        assert_bracket_contract(make_engine(RING), even_odd(8), res)
 
     def test_half_half_dies_before_even_odd(self):
         engine = make_engine(RING)
@@ -123,9 +156,31 @@ class TestThreshold:
         assert res.bracket[1] - res.bracket[0] <= 1e-3
         assert res.tolerance == 1e-3
 
-    def test_default_tolerance_takes_83_evaluations(self):
-        # 64 scan points plus 19 halvings of one scan cell down to 1e-6
-        assert threshold_temperature(RING, even_odd(8)).evaluations == 83
+    def test_default_tolerance_takes_18_evaluations(self):
+        # 8 guard-scan points plus 10 secant and bisection steps in one
+        # scan cell down to 1e-6
+        engine = make_engine(RING)
+        res = threshold_temperature(RING, even_odd(8), engine=engine)
+        assert res.evaluations == 18
+        assert res.tolerance == 1e-6
+        assert_bracket_contract(engine, even_odd(8), res)
+
+    @pytest.mark.parametrize("c", [0.3, 0.4, 0.45])
+    def test_even_odd_threshold_matches_the_closed_form(self, c):
+        # The kappa = 0 block decides the even-odd threshold, so it does
+        # not depend on n.  The closed form marks lambda_max = 1; the
+        # E_N = EPS_PPT root sits just below it, so distances are
+        # compared rather than bracket containment.
+        t_closed = even_odd_closed_form(c)
+        if c == 0.4:
+            assert t_closed == pytest.approx(0.5378764687, abs=1e-10)
+        found = []
+        for n in (8, 16, 64, 256):
+            spec = ModelSpec(kind="harmonic", topology="ring_nn", n_sites=n, c=c)
+            res = threshold_temperature(spec, even_odd(n), tol=1e-6)
+            assert abs(res.t_threshold - t_closed) <= res.tolerance
+            found.append(res.t_threshold)
+        assert max(found) - min(found) <= 1e-12
 
     def test_tolerance_below_float_resolution_still_returns(self):
         engine = make_engine(RING)
@@ -135,6 +190,78 @@ class TestThreshold:
         assert engine.negativity_pair(lo, even_odd(8))[0] > EPS_PPT
         assert engine.negativity_pair(hi, even_odd(8))[0] <= EPS_PPT
         assert res.t_threshold in (lo, hi)
+
+
+class StubEngine:
+    """An engine given by two functions of T alone: E_N and the margin."""
+
+    def __init__(self, e_n, margin):
+        self.e_n, self.margin = e_n, margin
+
+    def ppt_margin(self, temperature, partition):
+        return self.e_n(temperature), self.margin(temperature)
+
+
+def evaluation_bound(t_lo, t_hi, tol, scan_points=8):
+    """Scan points plus two steps per halving of one scan cell."""
+    cell = (t_hi - t_lo) / (scan_points - 1)
+    return scan_points + 2 * math.ceil(math.log2(cell / tol))
+
+
+class TestRootFinder:
+    def test_reentrant_margin_warns_and_refines_the_largest_crossing(self):
+        # entangled below 2 and again on (5, 9), crossings farther apart
+        # than the scan spacing of 20/7
+        def margin(t):
+            return -(t - 2.0) * (t - 5.0) * (t - 9.0)
+
+        engine = StubEngine(lambda t: max(margin(t), 0.0), margin)
+        with pytest.warns(UserWarning, match="2 sign changes"):
+            res = threshold_temperature(RING, even_odd(8), engine=engine)
+        assert res.warning is not None and "largest-T" in res.warning
+        assert abs(res.t_threshold - 9.0) <= 1e-6
+        assert_bracket_contract(engine, even_odd(8), res)
+        assert res.evaluations <= evaluation_bound(0.01, 20.0, 1e-6)
+
+    @pytest.mark.parametrize(
+        "margin",
+        [
+            lambda t: 4.5 - t,  # root misplaced inside the cell
+            lambda t: -1.0,  # wrong sign wherever the verdict holds
+            lambda t: 1.0,  # wrong sign wherever it fails
+            lambda t: math.nan,
+        ],
+        ids=["misplaced", "negative", "positive", "nan"],
+    )
+    def test_margin_that_disagrees_with_the_verdict(self, margin):
+        engine = StubEngine(lambda t: 1.0 if t < 3.3 else 0.0, margin)
+        res = threshold_temperature(RING, even_odd(8), engine=engine)
+        assert_bracket_contract(engine, even_odd(8), res)
+        assert res.bracket[0] < 3.3 <= res.bracket[1]
+        assert res.evaluations <= evaluation_bound(0.01, 20.0, 1e-6)
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(
+        root=st.floats(0.05, 19.9),
+        p=st.floats(1.0, 2.0),
+        q=st.floats(1.0, 2.0),
+        scale_in=st.floats(-3.0, 1.0),
+        scale_out=st.floats(-3.0, 1.0),
+        tol_exp=st.integers(-9, -3),
+    )
+    def test_monotone_power_law_margins(self, root, p, q, scale_in, scale_out, tol_exp):
+        # E_N sets in as (root - T)^p; on the PPT side the margin falls
+        # as -(T - root)^q
+        def margin(t):
+            if t < root:
+                return 10.0**scale_in * (root - t) ** p
+            return -(10.0**scale_out) * (t - root) ** q
+
+        tol = 10.0**tol_exp
+        engine = StubEngine(lambda t: max(margin(t), 0.0), margin)
+        res = threshold_temperature(RING, even_odd(8), tol=tol, engine=engine)
+        assert_bracket_contract(engine, even_odd(8), res)
+        assert res.evaluations <= evaluation_bound(0.01, 20.0, tol)
 
 
 class TestWindow:

@@ -5,6 +5,7 @@ import pytest
 
 from thermaneg.lattice import (
     ModelSpec,
+    SpinHamiltonian,
     build_potential,
     build_ring_potential,
     build_spin_hamiltonian,
@@ -195,6 +196,16 @@ class TestSpinHamiltonian:
         )
         assert np.array_equal(ham.entries, ham.entries.T)
         assert ham.entries.dtype == np.float64
+
+    def test_nonsymmetric_matrix_refused(self):
+        # one triangle of an exchange term: read as the lower triangle it
+        # would be a model without the bond (E_N = 0 instead of 0.5 at T = 0)
+        entries = np.zeros((4, 4))
+        entries[1, 2] = -2.0
+        with pytest.raises(ValueError, match="must be exactly symmetric"):
+            SpinHamiltonian(n=2, entries=entries)
+        entries[2, 1] = -2.0
+        SpinHamiltonian(n=2, entries=entries)
 
     def test_field_term_counts_spins(self):
         # the all-up state |000> sits at +3h, the all-down state at -3h
