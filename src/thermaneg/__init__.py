@@ -23,16 +23,12 @@ from .analysis import (
 )
 from .gaussian import (
     GaussianModel,
-    MatrixFunctionPair,
     ThermalGaussianState,
-    log_negativity_spectral,
     log_negativity_symplectic_oracle,
-    matrix_sqrt_pair,
     single_mode_negativity,
     star_hub_negativity_from_covariance,
     star_macroscopic_limit_trend,
     star_reduced_closed_form,
-    symplectic_spectrum,
     thermal_covariance,
 )
 from .lattice import (

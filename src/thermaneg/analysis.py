@@ -281,6 +281,12 @@ def sweep(
     return SweepGrid(spec=spec, rows=tuple(rows))
 
 
+def _check_scan_points(scan_points: int) -> None:
+    """A scan cell needs two ends."""
+    if not scan_points >= 2:
+        raise ValueError(f"scan_points must be at least 2, got {scan_points}")
+
+
 def threshold_temperature(
     spec: ModelSpec,
     partition,
@@ -301,6 +307,7 @@ def threshold_temperature(
     message.  Should the scan see several sign changes, the largest-T
     one is refined and a warning is attached.
     """
+    _check_scan_points(scan_points)
     if engine is None:
         engine = make_engine(spec, max_spin_sites=max_spin_sites)
     evaluations = 0
@@ -519,6 +526,7 @@ def star_external_crossing(
 
     if n_a == n_b:
         raise ValueError("crossing needs two different system sizes")
+    _check_scan_points(scan_points)
     n_small, n_large = sorted((int(n_a), int(n_b)))
     engines = {}
     parts = {}

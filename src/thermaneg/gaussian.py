@@ -15,6 +15,19 @@ computed by two deliberately independent routes:
   V^{-+1/2}) satisfies U^T Q U = M D- M D+, which is similar to A A^T
   with A = D+^{1/2} M D-^{1/2}.  E_l sums log2 of the eigenvalues of
   the symmetric A A^T above 1, so the spectrum is real by construction.
+  ``GaussianModel`` takes this spectrum by one of two paths, picked
+  from its input with no option:
+
+  - Bloch blocks: V is exactly circulant (every row the cyclic shift of
+    row 0) and the partition's smallest period L divides n with
+    n/L >= 4, as for even-odd (L = 2) and blocks of b sites (L = 2b).
+    In the Fourier basis, s_k = sqrt of the DFT of row 0, and A A^T is
+    block diagonal over n/L momenta kappa, each block a Hermitian L x L
+    A_k A_k^H.  One stacked eigvalsh costs O(n L^2) instead of O(n^3).
+  - dense: one n x n eigvalsh of A A^T for everything else (transfer
+    partitions, half-half, n/L < 4, the star).
+
+  Both paths give the one spectrum that E_l and the PPT margin read.
 * sign-flip oracle: momentum signs of the +1 block are flipped on the
   full covariance, then E_l sums -log2 over the sub-unit eigenvalues
   of the position-times-flipped-momentum product, a nonsymmetric
@@ -43,13 +56,9 @@ import numpy as np
 from .lattice import build_star_potential
 
 __all__ = [
-    "MatrixFunctionPair",
     "ThermalGaussianState",
     "GaussianModel",
-    "matrix_sqrt_pair",
     "thermal_covariance",
-    "symplectic_spectrum",
-    "log_negativity_spectral",
     "log_negativity_symplectic_oracle",
     "star_reduced_closed_form",
     "single_mode_negativity",
@@ -74,14 +83,6 @@ def _labels(p) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class MatrixFunctionPair:
-    """Square root and inverse square root of one positive matrix."""
-
-    sqrt: np.ndarray
-    inv_sqrt: np.ndarray
-
-
-@dataclass(frozen=True)
 class ThermalGaussianState:
     """Position and momentum covariance blocks of a Gibbs state.
 
@@ -103,43 +104,47 @@ class GaussianModel:
 
     Every quantity of interest is a spectral function of V, so a single
     symmetric eigendecomposition serves all temperatures and all
-    partitions.  Instances are immutable and safe to share across
-    worker threads.
+    partitions.  A circulant V also keeps its Fourier spectrum and the
+    periods that take the Bloch-block path (see the module docstring).
+    Instances are immutable and safe to share across worker threads.
     """
 
     def __init__(self, potential):
         v = _entries(potential)
         if v.ndim != 2 or v.shape[0] != v.shape[1]:
             raise ValueError(f"potential must be square, got shape {v.shape}")
-        lam, u = np.linalg.eigh(_sym(v))
+        v = _sym(v)
+        lam, u = np.linalg.eigh(v)
         if lam[0] <= 0.0:
             raise ValueError(
                 f"potential matrix is not positive definite (minimum eigenvalue {lam[0]})"
             )
-        self.n = v.shape[0]
-        self._lam = lam
+        self.n = n = v.shape[0]
         self._u = u
         self._s = np.sqrt(lam)
-
-    def _weights(self, temperature: float) -> np.ndarray:
-        """Diagonal of W(T) in the eigenbasis of V.
-
-        As T -> inf, s/2T -> 0 and coth diverges; the infinite weights
-        are that exact limit, and they make the log-negativity 0.
-        """
-        if not temperature >= 0.0:
-            raise ValueError(f"temperature must be nonnegative, got {temperature}")
-        if temperature == 0.0:
-            return np.ones_like(self._s)
-        with np.errstate(divide="ignore", over="ignore"):
-            return 1.0 / np.tanh(self._s / (2.0 * temperature))
+        # Bloch route: s_k = sqrt of the Fourier spectrum of row 0, and
+        # the periods L that leave at least 4 cells of L sites each.
+        self._bloch_s = None
+        self._periods = ()
+        if _is_circulant(v):
+            lam_k = np.fft.fft(v[0]).real
+            if lam_k.min() > 0.0:
+                self._bloch_s = np.sqrt(lam_k)
+                self._periods = tuple(p for p in range(1, n // 4 + 1) if n % p == 0)
 
     def covariance(self, temperature: float) -> ThermalGaussianState:
-        w = self._weights(temperature)
+        w = _weights(self._s, temperature)
         u = self._u
         x = _sym((u * (w / self._s)) @ u.T)
         p = _sym((u * (w * self._s)) @ u.T)
         return ThermalGaussianState(x_block=x, p_block=p, temperature=temperature)
+
+    def _period(self, signs: np.ndarray):
+        """Smallest period of the signs among ``_periods``, else None."""
+        for p in self._periods:
+            if np.array_equal(signs[p:], signs[:-p]):
+                return p
+        return None
 
     def _spectrum(self, temperature: float, partition) -> np.ndarray:
         """Ascending eigenvalues of A A^T, which are those of Q."""
@@ -148,7 +153,10 @@ class GaussianModel:
             raise ValueError(
                 f"partition of size {signs.shape} does not match model size {self.n}"
             )
-        w = self._weights(temperature)
+        period = self._period(signs)
+        if period is not None:
+            return _bloch_spectrum(self._bloch_s, temperature, signs[:period])
+        w = _weights(self._s, temperature)
         u = self._u
         # A = D+^{1/2} (U^T P U) D-^{1/2}; A A^T has the spectrum of Q
         a = u.T @ (signs[:, None] * u)
@@ -171,32 +179,56 @@ class GaussianModel:
         The margin is positive exactly where some eigenvalue exceeds 1
         and varies smoothly through the PPT threshold, where E_N, a sum
         over the modes that are still entangled, can set in with a
-        power law.
+        power law.  On the Bloch route lambda_max is the largest top
+        eigenvalue over the momentum blocks.
         """
         ev = self._spectrum(temperature, partition)
         return (2.0 ** _log_gain(ev) - 1.0, float(ev[-1]) - 1.0)
+
+
+def _weights(s: np.ndarray, temperature: float) -> np.ndarray:
+    """Diagonal of W(T) for the mode frequencies s.
+
+    As T -> inf, s/2T -> 0 and coth diverges; the infinite weights
+    are that exact limit, and they make the log-negativity 0.
+    """
+    if not temperature >= 0.0:
+        raise ValueError(f"temperature must be nonnegative, got {temperature}")
+    if temperature == 0.0:
+        return np.ones_like(s)
+    with np.errstate(divide="ignore", over="ignore"):
+        return 1.0 / np.tanh(s / (2.0 * temperature))
+
+
+def _is_circulant(v: np.ndarray) -> bool:
+    """Every row is exactly the cyclic shift of row 0."""
+    return np.array_equal(v[1:, 1:], v[:-1, :-1]) and np.array_equal(v[1:, 0], v[0, :0:-1])
+
+
+def _bloch_spectrum(s: np.ndarray, temperature: float, cell: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of A A^T for signs repeating ``cell``.
+
+    With s the Fourier frequencies of a circulant V and L = len(cell),
+    momentum kappa + m n/L couples only to kappa + m' n/L through
+    B[m, m'] = p((m - m') mod L), p the DFT of the cell over L.  A A^T
+    is then block diagonal over kappa = 0 .. n/L - 1, with Hermitian
+    L x L blocks A_k A_k^H, A_k = D+^{1/2}(kappa) B D-^{1/2}(kappa).
+    """
+    period = cell.size
+    cells = s.size // period
+    w = _weights(s, temperature)
+    # momenta of block kappa, shape (n/L, L)
+    k = np.arange(cells)[:, None] + cells * np.arange(period)[None, :]
+    m = np.arange(period)
+    b = (np.fft.fft(cell) / period)[(m[:, None] - m[None, :]) % period]
+    a = np.sqrt(s / w)[k][:, :, None] * b * np.sqrt(1.0 / (w * s))[k][:, None, :]
+    return np.sort(np.linalg.eigvalsh(a @ a.conj().transpose(0, 2, 1)).ravel())
 
 
 def _log_gain(ev: np.ndarray) -> float:
     """E_l: log2 summed over the eigenvalues of A A^T above 1."""
     gains = ev[ev > 1.0 + _UNIT_CUTOFF]
     return float(np.sum(np.log2(gains))) if gains.size else 0.0
-
-
-def matrix_sqrt_pair(potential) -> MatrixFunctionPair:
-    """Spectral square root and inverse square root of a positive matrix."""
-    v = _sym(_entries(potential))
-    lam, u = np.linalg.eigh(v)
-    if lam[0] <= 0.0:
-        raise ValueError(
-            f"matrix square root needs a positive definite input "
-            f"(minimum eigenvalue {lam[0]})"
-        )
-    s = np.sqrt(lam)
-    return MatrixFunctionPair(
-        sqrt=_sym((u * s) @ u.T),
-        inv_sqrt=_sym((u / s) @ u.T),
-    )
 
 
 def thermal_covariance(potential, temperature: float) -> ThermalGaussianState:
@@ -207,22 +239,6 @@ def thermal_covariance(potential, temperature: float) -> ThermalGaussianState:
     T = 0 short-circuits to unit weights (pure ground state).
     """
     return GaussianModel(potential).covariance(temperature)
-
-
-def symplectic_spectrum(state: ThermalGaussianState) -> np.ndarray:
-    """Symplectic eigenvalues, ascending; all >= 1 for a physical state."""
-    mu = np.linalg.eigvals(state.x_block @ state.p_block)
-    return np.sort(np.sqrt(np.abs(mu.real)))
-
-
-def log_negativity_spectral(potential, temperature: float, partition) -> float:
-    """E_l across a partition from the symmetric spectrum of A A^T.
-
-    A = D+^{1/2} (U^T P U) D-^{1/2} in the eigenbasis of V; A A^T is
-    similar to U^T Q U = M D- M D+ with Q = P w- P w+, so its
-    eigenvalues are those of Q.
-    """
-    return GaussianModel(potential).log_negativity(temperature, partition)
 
 
 def log_negativity_symplectic_oracle(potential, temperature: float, partition) -> float:

@@ -24,7 +24,7 @@ from thermaneg.analysis import (
 )
 from thermaneg.cli import main as cli_main
 from thermaneg.gaussian import (
-    log_negativity_spectral,
+    GaussianModel,
     log_negativity_symplectic_oracle,
     single_mode_negativity,
     star_hub_negativity_from_covariance,
@@ -83,7 +83,7 @@ def test_dual_route_agreement_between_spectral_and_transpose():
             for p in ring_partitions(n, rng):
                 t = 0.0 if rng.random() < 0.15 else float(rng.uniform(0.0, 5.0))
                 gap = abs(
-                    log_negativity_spectral(v, t, p)
+                    GaussianModel(v).log_negativity(t, p)
                     - log_negativity_symplectic_oracle(v, t, p)
                 )
                 worst = max(worst, gap)
@@ -94,7 +94,7 @@ def test_dual_route_agreement_between_spectral_and_transpose():
             for p in star_partitions(n):
                 t = 0.0 if rng.random() < 0.15 else float(rng.uniform(0.0, 5.0))
                 gap = abs(
-                    log_negativity_spectral(v, t, p)
+                    GaussianModel(v).log_negativity(t, p)
                     - log_negativity_symplectic_oracle(v, t, p)
                 )
                 worst = max(worst, gap)
@@ -109,7 +109,7 @@ def test_dual_route_agreement_between_spectral_and_transpose():
 
 def test_two_site_ground_state_closed_form():
     c = 0.4
-    el = log_negativity_spectral(build_ring_potential(2, c), 0.0, half_half(2))
+    el = GaussianModel(build_ring_potential(2, c)).log_negativity(0.0, half_half(2))
     expected = 0.5 * math.log2((1 + c) / (1 - c))
     check(
         "two-site ground-state closed form",

@@ -1,19 +1,17 @@
 import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from thermaneg.gaussian import (
     GaussianModel,
-    log_negativity_spectral,
     log_negativity_symplectic_oracle,
-    matrix_sqrt_pair,
     single_mode_negativity,
     star_hub_negativity_from_covariance,
     star_macroscopic_limit_trend,
     star_reduced_closed_form,
-    symplectic_spectrum,
     thermal_covariance,
 )
 from thermaneg.analysis import EPS_PPT, threshold_temperature
@@ -31,6 +29,22 @@ from thermaneg.partitions import (
 def random_spd(rng, n):
     m = rng.standard_normal((n, n))
     return m @ m.T + n * np.eye(n)
+
+
+def log_negativity_spectral(v, t, p):
+    return GaussianModel(v).log_negativity(t, p)
+
+
+def matrix_sqrt_pair(v):
+    """V^{1/2} and V^{-1/2}: the momentum and position blocks at T = 0."""
+    state = GaussianModel(v).covariance(0.0)
+    return SimpleNamespace(sqrt=state.p_block, inv_sqrt=state.x_block)
+
+
+def symplectic_spectrum(state):
+    """Symplectic eigenvalues, ascending; all >= 1 for a physical state."""
+    mu = np.linalg.eigvals(state.x_block @ state.p_block)
+    return np.sort(np.sqrt(np.abs(mu.real)))
 
 
 class TestMatrixSqrtPair:
@@ -179,6 +193,86 @@ class TestSymplecticOracle:
     def test_reports_zero_in_the_ppt_phase(self):
         v = build_ring_potential(8, 0.4)
         assert log_negativity_symplectic_oracle(v, 5.0, even_odd(8)) == 0.0
+
+
+def dense_spectrum(v):
+    """T, p -> ascending eigenvalues of the n x n A A^T, from one eigh(V)."""
+    lam, u = np.linalg.eigh(v.entries)
+    s = np.sqrt(lam)
+
+    def at(t, p):
+        with np.errstate(divide="ignore"):
+            w = np.ones_like(s) if t == 0.0 else 1.0 / np.tanh(s / (2.0 * t))
+        signs = np.asarray(p.labels, dtype=float)
+        a = (u.T @ (signs[:, None] * u)) * np.sqrt(s / w)[:, None]
+        a *= np.sqrt(1.0 / (w * s))[None, :]
+        return np.linalg.eigvalsh(a @ a.T)
+
+    return at
+
+
+def bloch_partitions(n):
+    """Even-odd and every alternating_blocks partition with n/L >= 4."""
+    n_exp = n.bit_length() - 1
+    return [even_odd(n)] + [alternating_blocks(n_exp, k) for k in range(3, n_exp)]
+
+
+@pytest.fixture
+def eigvalsh_shapes(monkeypatch):
+    """Record the shape of every eigvalsh input from here on."""
+    shapes = []
+    solve = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: shapes.append(m.shape) or solve(m))
+    return shapes
+
+
+class TestBlochRoute:
+    @pytest.mark.parametrize("n", [8, 16, 64, 256, 512])
+    def test_agrees_with_the_dense_spectrum_around_each_threshold(self, n):
+        for c in (0.3, 0.4, 0.45):
+            spec = ModelSpec(kind="harmonic", topology="ring_nn", n_sites=n, c=c)
+            v = build_ring_potential(n, c)
+            model = GaussianModel(v)
+            dense = dense_spectrum(v)
+            for p in bloch_partitions(n):
+                t_th = threshold_temperature(
+                    spec, p, t_lo=0.05, t_hi=2.0, tol=1e-3, scan_points=8, engine=model
+                ).t_threshold
+                for t in (0.0, 0.5 * t_th, 0.97 * t_th, 1.03 * t_th, math.inf):
+                    ev = dense(t, p)
+                    gains = ev[ev > 1.0 + 1e-12]
+                    e_l = float(np.sum(np.log2(gains)))
+                    e_n, margin = model.ppt_margin(t, p)
+                    assert model.log_negativity(t, p) == pytest.approx(e_l, abs=1e-10)
+                    assert margin == pytest.approx(ev[-1] - 1.0, abs=1e-10)
+                    assert (e_n < EPS_PPT) == (2.0**e_l - 1.0 < EPS_PPT)
+
+    def test_even_odd_solves_only_two_by_two_blocks(self, eigvalsh_shapes):
+        model = GaussianModel(build_ring_potential(256, 0.4))
+        eigvalsh_shapes.clear()
+        model.negativity_pair(0.5, even_odd(256))
+        model.ppt_margin(0.5, even_odd(256))
+        assert eigvalsh_shapes and all(shape[-2:] == (2, 2) for shape in eigvalsh_shapes)
+
+    @pytest.mark.parametrize(
+        "v, p",
+        [
+            (build_ring_potential(256, 0.4), transfer_sweep(256)[5]),
+            (build_ring_potential(256, 0.4), half_half(256)),
+            (build_ring_potential(256, 0.4), alternating_blocks(8, 2)),
+            (build_star_potential(8, 1.0), even_odd(8, topology="star")),
+        ],
+        ids=["transfer", "half-half", "blocks-n/L=2", "star"],
+    )
+    def test_other_inputs_take_one_dense_solve(self, eigvalsh_shapes, v, p):
+        GaussianModel(v).negativity_pair(0.5, p)
+        assert eigvalsh_shapes == [(v.n, v.n)]
+
+    @pytest.mark.parametrize("t", [-0.1, math.nan])
+    def test_invalid_temperature_rejected(self, t):
+        model = GaussianModel(build_ring_potential(256, 0.4))
+        with pytest.raises(ValueError, match="temperature must be nonnegative"):
+            model.negativity_pair(t, even_odd(256))
 
 
 class TestStarClosedForm:
