@@ -52,6 +52,6 @@ from .partitions import (
     single_external_vs_rest,
     transfer_sweep,
 )
-from .spin import SpinModel, SpinThermalState, negativity, partial_transpose, thermal_state
+from .spin import SpinModel, negativity, partial_transpose
 
 __version__ = "0.1.0"

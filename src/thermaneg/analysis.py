@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -226,16 +225,14 @@ def sweep(
     spec: ModelSpec,
     temperatures,
     partitions,
-    jobs: int = 1,
     engine=None,
     max_spin_sites: int = MAX_SPIN_SITES_DEFAULT,
 ) -> SweepGrid:
     """Evaluate every (temperature, partition) cell of the grid.
 
-    Rows come out in deterministic order, temperature outermost, and
-    that order never depends on ``jobs``: cells are keyed by grid
-    position, not by completion time.  A failing cell is recorded in
-    its row's ``error`` field instead of aborting the grid.
+    Rows come out in grid order, temperature outermost.  A failing
+    cell is recorded in its row's ``error`` field instead of aborting
+    the grid.
     """
     temperatures = [float(t) for t in temperatures]
     partitions = list(partitions)
@@ -246,10 +243,7 @@ def sweep(
     if engine is None and partitions:
         engine = make_engine(spec, max_spin_sites=max_spin_sites)
 
-    cells = [(t, p) for t in temperatures for p in partitions]
-
-    def evaluate(cell):
-        t, part = cell
+    def evaluate(t, part):
         e_n = e_l = float("nan")
         error = ""
         try:
@@ -273,12 +267,8 @@ def sweep(
             error=error,
         )
 
-    if jobs <= 1 or len(cells) < 2:
-        rows = [evaluate(cell) for cell in cells]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(evaluate, cells))
-    return SweepGrid(spec=spec, rows=tuple(rows))
+    rows = tuple(evaluate(t, p) for t in temperatures for p in partitions)
+    return SweepGrid(spec=spec, rows=rows)
 
 
 def _check_scan_points(scan_points: int) -> None:

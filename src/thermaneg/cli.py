@@ -5,8 +5,9 @@ all serialized as deterministic CSV.
 Config files are flat INI text (section headers in brackets, key =
 value lines); every key can also be given as a command-line flag,
 which overrides the file.  CONFIG_KEYS lists each key once.  Floats are printed with 12 significant
-digits, rows follow a fixed order, and line endings are LF, so a given
-config and binary produce byte-identical output at any parallelism.
+digits, rows follow a fixed order, and line endings are LF.  Every grid
+is evaluated on one thread in that order (``run.jobs`` is accepted and
+ignored), so a given config and build produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -400,7 +401,6 @@ def _sweep_grids(exp: Experiment) -> list:
             spec,
             exp.temperatures,
             exp.partitions_for(spec.n_sites),
-            jobs=exp.jobs,
             max_spin_sites=exp.max_spin_sites,
         )
         for spec in exp.specs
@@ -594,6 +594,9 @@ def main(argv=None) -> int:
         return code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:
+        print(f"config error: model too large for memory: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (ThresholdError, CrossingError, ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -106,7 +106,6 @@ class GaussianModel:
     symmetric eigendecomposition serves all temperatures and all
     partitions.  A circulant V also keeps its Fourier spectrum and the
     periods that take the Bloch-block path (see the module docstring).
-    Instances are immutable and safe to share across worker threads.
     """
 
     def __init__(self, potential):

@@ -19,7 +19,6 @@ __all__ = [
     "Partition",
     "boundary_area",
     "from_mask",
-    "negated",
     "even_odd",
     "half_half",
     "alternating_blocks",
@@ -82,11 +81,6 @@ def from_mask(mask: str, topology: str = "ring_nn", pid: str | None = None) -> P
         else:
             raise ValueError(f"mask may contain only '+' and '-', got {ch!r}")
     return _make(signs, topology, pid if pid is not None else f"mask-{mask}")
-
-
-def negated(p: Partition, topology: str = "ring_nn") -> Partition:
-    """Same bipartition with the block signs swapped."""
-    return _make([-s for s in p.labels], topology, p.id)
 
 
 def even_odd(n: int, topology: str = "ring_nn") -> Partition:

@@ -16,15 +16,11 @@ the one used on the oscillator side.
 from __future__ import annotations
 
 import math
-import threading
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "SpinThermalState",
     "SpinModel",
-    "thermal_state",
     "partial_transpose",
     "negativity",
 ]
@@ -37,15 +33,6 @@ NEGATIVE_EIGENVALUE_CUTOFF = -1e-12
 # Eigenstates within this of the minimum energy belong to the ground
 # space when forming the T = 0 state.
 _GROUND_ATOL = 1e-10
-
-
-@dataclass(frozen=True)
-class SpinThermalState:
-    """Normalized Gibbs state of a spin model at one temperature."""
-
-    rho: np.ndarray
-    temperature: float
-    n: int
 
 
 def _sym(m: np.ndarray) -> np.ndarray:
@@ -84,8 +71,7 @@ class SpinModel:
     temperature are then two matrix products per sector away.  The
     most recent density matrix is kept so that sweeps evaluating many
     partitions at the same temperature do not rebuild it per
-    partition.  Safe for concurrent use; the cache is guarded by a
-    lock.
+    partition.
     """
 
     def __init__(self, hamiltonian):
@@ -99,10 +85,11 @@ class SpinModel:
         self._evals = np.concatenate([evals for evals, _ in pairs])
         self._evecs = [evecs for _, evecs in pairs]
         self._last = None
-        self._lock = threading.Lock()
 
     def _weights(self, temperature: float) -> np.ndarray:
-        if temperature < 0.0:
+        """Boltzmann weights relative to the minimum energy, so that no
+        exponential ever overflows."""
+        if not temperature >= 0.0:
             raise ValueError(f"temperature must be nonnegative, got {temperature}")
         shifted = self._evals - self._evals.min()
         if temperature == 0.0:
@@ -112,24 +99,21 @@ class SpinModel:
         return w / w.sum()
 
     def thermal_rho(self, temperature: float) -> np.ndarray:
-        with self._lock:
-            if self._last is not None and self._last[0] == temperature:
-                return self._last[1]
-            w = self._weights(temperature)
-            dim = len(w)
-            rho = np.zeros((dim, dim))
-            start = 0
-            for idx, evecs in zip(self._sectors, self._evecs):
-                w_sector = w[start:start + len(idx)]
-                start += len(idx)
-                rho[np.ix_(idx, idx)] = _sym((evecs * w_sector) @ evecs.T)
-            self._last = (temperature, rho)
-            return rho
-
-    def thermal_state(self, temperature: float) -> SpinThermalState:
-        return SpinThermalState(
-            rho=self.thermal_rho(temperature), temperature=temperature, n=self.n
-        )
+        """Gibbs state exp(-H/T), normalized; T = 0 gives the uniform
+        mixture over the ground eigenspace (the zero-temperature limit).
+        """
+        if self._last is not None and self._last[0] == temperature:
+            return self._last[1]
+        w = self._weights(temperature)
+        dim = len(w)
+        rho = np.zeros((dim, dim))
+        start = 0
+        for idx, evecs in zip(self._sectors, self._evecs):
+            w_sector = w[start:start + len(idx)]
+            start += len(idx)
+            rho[np.ix_(idx, idx)] = _sym((evecs * w_sector) @ evecs.T)
+        self._last = (temperature, rho)
+        return rho
 
     def negativity_pair(self, temperature: float, partition) -> tuple:
         """(E_N, E_l) across the partition at one temperature."""
@@ -149,16 +133,6 @@ class SpinModel:
         return (e_n, e_n if e_n > 0.0 else -float(spectrum.min()))
 
 
-def thermal_state(hamiltonian, temperature: float) -> SpinThermalState:
-    """Gibbs state exp(-H/T), normalized; T = 0 gives the uniform
-    mixture over the ground eigenspace (the zero-temperature limit).
-
-    Boltzmann weights are taken relative to the minimum eigenvalue so
-    that no exponential ever overflows.
-    """
-    return SpinModel(hamiltonian).thermal_state(temperature)
-
-
 def partial_transpose(rho, partition) -> np.ndarray:
     """Transpose the indices of every site labeled +1.
 
@@ -166,7 +140,7 @@ def partial_transpose(rho, partition) -> np.ndarray:
     result is again real symmetric.
     """
     labels = getattr(partition, "labels", partition)
-    mat = np.asarray(getattr(rho, "rho", rho))
+    mat = np.asarray(rho)
     n = len(labels)
     dim = mat.shape[0]
     if mat.shape != (dim, dim) or dim != 2**n:

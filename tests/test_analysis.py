@@ -89,13 +89,6 @@ class TestSweep:
         assert first.e_l == pytest.approx(math.log2(1 + first.e_n), rel=1e-12)
         assert first.error == ""
 
-    def test_parallel_rows_match_serial_rows(self):
-        parts = [even_odd(8), half_half(8)]
-        temps = [0.1, 0.3, 0.6, 1.2]
-        serial = sweep(RING, temps, parts, jobs=1)
-        parallel = sweep(RING, temps, parts, jobs=4)
-        assert serial.rows == parallel.rows
-
     def test_ppt_flag_uses_the_shared_cutoff(self):
         grid = sweep(RING, [5.0], [even_odd(8)])
         row = grid.rows[0]

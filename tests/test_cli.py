@@ -46,8 +46,11 @@ SPIN_RING = ["sweep", "--kind", "spin_half", "--topology", "ring_nn", "--n", "4"
 STAR_MODEL = ["sweep", "--kind", "harmonic", "--topology", "star", "--n", "4"]
 RING_PAIR = ["--kind", "harmonic", "--topology", "ring_nn", "--n-list", "8,8", "--c", "0.4"]
 
-# Repeated temperatures, partitions or sizes, an empty size list and
-# non-finite couplings: each is a config error, reported on one line.
+# Repeated temperatures, partitions or sizes, an empty size list,
+# non-finite couplings and models too large to allocate (a 2 PiB dense
+# spin Hamiltonian, a 182 TiB ring potential; both exceed a 47-bit
+# address space, so they fail at once): each is a config error, on one
+# line.
 REJECTED_INPUTS = [
     RING_MODEL + ["--t-list", "0.5,0.5", "--families", "even-odd"],
     RING_MODEL + ["--t-range", "1,1,5", "--families", "even-odd"],
@@ -69,6 +72,10 @@ REJECTED_INPUTS = [
     ["threshold"] + RING_PAIR + ["--families", "even-odd", "--tol", "1e-3"],
     ["scaling"] + RING_PAIR + ["--certificate", "half-half", "--witness", "even-odd",
                                "--tol", "1e-3"],
+    ["sweep", "--kind", "spin_half", "--topology", "ring_nn", "--n", "24",
+     "--max-spin-sites", "24", "--t-list", "1", "--families", "even-odd"],
+    ["threshold", "--kind", "harmonic", "--topology", "ring_nn", "--n", "5000000",
+     "--c", "0.4", "--families", "even-odd"],
 ]
 
 

@@ -8,7 +8,6 @@ from thermaneg.partitions import (
     even_odd,
     from_mask,
     half_half,
-    negated,
     single_external_vs_rest,
     transfer_sweep,
 )
@@ -70,7 +69,7 @@ class TestFromMask:
 class TestNegated:
     def test_flips_labels_keeps_area_and_id(self):
         p = half_half(8)
-        q = negated(p)
+        q = from_mask(p.mask.translate(str.maketrans("+-", "-+")), pid=p.id)
         assert q.labels == tuple(-s for s in p.labels)
         assert q.area == p.area and q.id == p.id
 

@@ -21,7 +21,6 @@ from thermaneg.spin import (
     SpinModel,
     negativity,
     partial_transpose,
-    thermal_state,
 )
 
 
@@ -31,6 +30,10 @@ def ring(n, h=0.0):
 
 def star(n, h=0.0):
     return build_spin_hamiltonian(ModelSpec(kind="spin_half", topology="star", n_sites=n, h=h))
+
+
+def thermal_rho(hamiltonian, temperature):
+    return SpinModel(hamiltonian).thermal_rho(temperature)
 
 
 def dense_oracle(rho, partition):
@@ -85,12 +88,12 @@ class TestThermalState:
             assert np.linalg.eigvalsh(rho)[0] > -1e-13
 
     def test_high_temperature_limit_is_maximally_mixed(self):
-        rho = thermal_state(ring(3, h=1.1), 1e6).rho
+        rho = thermal_rho(ring(3, h=1.1), 1e6)
         assert np.allclose(rho, np.eye(8) / 8, atol=1e-5)
 
     def test_two_site_ground_state_is_the_singlet_triplet_mixture(self):
         # the exchange ground state of two sites is (|01> + |10>)/sqrt(2)
-        rho = thermal_state(ring(2), 0.0).rho
+        rho = thermal_rho(ring(2), 0.0)
         expected = np.zeros((4, 4))
         expected[1:3, 1:3] = 0.5
         assert np.allclose(rho, expected, atol=1e-12)
@@ -99,7 +102,7 @@ class TestThermalState:
         ham = ring(4)
         lam = np.linalg.eigvalsh(ham.entries)
         degeneracy = int(np.sum(lam - lam[0] < 1e-10))
-        rho = thermal_state(ham, 0.0).rho
+        rho = thermal_rho(ham, 0.0)
         nonzero = np.linalg.eigvalsh(rho)
         nonzero = nonzero[nonzero > 1e-12]
         assert len(nonzero) == degeneracy
@@ -108,7 +111,7 @@ class TestThermalState:
     def test_boltzmann_ratios(self):
         # two-site populations must follow exp(-(E - E0)/T)
         t = 1.3
-        rho = thermal_state(ring(2), t).rho
+        rho = thermal_rho(ring(2), t)
         lam = np.array([-2.0, 0.0, 0.0, 2.0])
         w = np.exp(-(lam - lam[0]) / t)
         w /= w.sum()
@@ -117,7 +120,22 @@ class TestThermalState:
 
     def test_negative_temperature_rejected(self):
         with pytest.raises(ValueError):
-            thermal_state(ring(2), -1.0)
+            thermal_rho(ring(2), -1.0)
+
+    def test_nan_temperature_rejected(self):
+        model = SpinModel(ring(4, h=0.3))
+        with pytest.raises(ValueError, match="temperature must be nonnegative"):
+            model.thermal_rho(math.nan)
+        with pytest.raises(ValueError, match="temperature must be nonnegative"):
+            model.negativity_pair(math.nan, even_odd(4))
+        with pytest.raises(ValueError, match="temperature must be nonnegative"):
+            model.ppt_margin(math.nan, even_odd(4))
+
+    def test_infinite_temperature_is_maximally_mixed_and_ppt(self):
+        model = SpinModel(ring(4, h=0.3))
+        assert np.allclose(model.thermal_rho(math.inf), np.eye(16) / 16, atol=1e-15)
+        assert model.negativity_pair(math.inf, even_odd(4)) == (0.0, 0.0)
+        assert model.ppt_margin(math.inf, even_odd(4))[0] == 0.0
 
     def test_repeated_temperature_reuses_the_cached_matrix(self):
         model = SpinModel(ring(3))
@@ -144,7 +162,7 @@ class TestPartialTranspose:
         assert np.array_equal(partial_transpose(partial_transpose(rho, p), p), rho)
 
     def test_preserves_trace_and_symmetry(self):
-        rho = thermal_state(ring(3, h=0.4), 0.7).rho
+        rho = thermal_rho(ring(3, h=0.4), 0.7)
         pt = partial_transpose(rho, from_mask("-++"))
         assert np.trace(pt) == pytest.approx(1.0, abs=1e-12)
         assert np.allclose(pt, pt.T, atol=1e-14)
@@ -177,7 +195,7 @@ class TestPartialTranspose:
 
 class TestNegativity:
     def test_bell_ground_state(self):
-        rho = thermal_state(ring(2), 0.0).rho
+        rho = thermal_rho(ring(2), 0.0)
         e_n, e_l = negativity(rho, half_half(2))
         assert e_n == pytest.approx(0.5, abs=1e-10)
         assert e_l == pytest.approx(math.log2(1.5), abs=1e-10)
@@ -188,12 +206,12 @@ class TestNegativity:
         assert e_n == 0.0 and e_l == 0.0
 
     def test_log_form_consistency(self):
-        rho = thermal_state(ring(4, h=0.5), 0.6).rho
+        rho = thermal_rho(ring(4, h=0.5), 0.6)
         e_n, e_l = negativity(rho, even_odd(4))
         assert e_l == pytest.approx(math.log2(1.0 + e_n), abs=1e-12)
 
     def test_block_negation_symmetry(self):
-        rho = thermal_state(star(4), 1.0).rho
+        rho = thermal_rho(star(4), 1.0)
         direct = negativity(rho, central_vs_rest(4))
         flipped = negativity(rho, from_mask("-+++", topology="star", pid="rest"))
         assert direct[0] == pytest.approx(flipped[0], abs=1e-12)
