@@ -15,8 +15,8 @@ computed by two deliberately independent routes:
   V^{-+1/2}) satisfies U^T Q U = M D- M D+, which is similar to A A^T
   with A = D+^{1/2} M D-^{1/2}.  E_l sums log2 of the eigenvalues of
   the symmetric A A^T above 1, so the spectrum is real by construction.
-  ``GaussianModel`` takes this spectrum by one of two paths, picked
-  from its input with no option:
+  ``GaussianModel`` takes this spectrum by one of three routes, tried
+  in this order and picked from its input with no option:
 
   - Bloch blocks: V is exactly circulant (every row the cyclic shift of
     row 0) and the partition's smallest period L divides n with
@@ -24,14 +24,27 @@ computed by two deliberately independent routes:
     In the Fourier basis, s_k = sqrt of the DFT of row 0, and A A^T is
     block diagonal over n/L momenta kappa, each block a Hermitian L x L
     A_k A_k^H.  One stacked eigvalsh costs O(n L^2) instead of O(n^3).
-  - dense: one n x n eigvalsh of A A^T for everything else (transfer
-    partitions, half-half, n/L < 4, the star).
+  - mirror blocks: V is exactly circulant and the signs are unchanged
+    under a reflection i -> (c - i) mod n, as for half-half, every
+    transfer partition and blocks with n/L = 2.  After a translation
+    that moves the centre to h = 0 or 1, the real Fourier modes
+    cos(2 pi k (i - h/2)/n) and sin(2 pi k (i - h/2)/n) are even and
+    odd under i -> h - i, P does not mix the two sets, and A A^T
+    splits into two blocks of about n/2.  Two eigvalsh of n/2 do a
+    quarter of the O(n^3) work of one n x n solve; an FFT of the signs
+    proposes the centres in O(n log n) and an exact compare confirms.
+  - dense: one n x n eigvalsh of A A^T for everything else (a ring
+    partition with neither symmetry, the star, any V that is not
+    circulant).
 
-  Both paths give the one spectrum that E_l and the PPT margin read.
+  The mirror and dense routes share one kernel, which forms U^T P U as
+  +-(I - 2 U_S^T U_S) from the rows of the smaller sign class S.  All
+  three give the one ascending spectrum that E_l and the PPT margin
+  read.
 * sign-flip oracle: momentum signs of the +1 block are flipped on the
   full covariance, then E_l sums -log2 over the sub-unit eigenvalues
   of the position-times-flipped-momentum product, a nonsymmetric
-  eigenproblem.  It shares only the eigendecomposition of V with the
+  eigenproblem.  It shares only the eigenbasis of V with the
   spectral route, and the two agree to solver precision.
 
 Convention note: each sub-unit eigenvalue in the oracle is the square
@@ -53,7 +66,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import build_star_potential
+from .lattice import _is_circulant, build_star_potential
 
 __all__ = [
     "ThermalGaussianState",
@@ -79,7 +92,10 @@ def _entries(v) -> np.ndarray:
 
 
 def _labels(p) -> np.ndarray:
-    return np.asarray(getattr(p, "labels", p), dtype=float)
+    signs = np.asarray(getattr(p, "labels", p), dtype=float)
+    if not np.all(np.abs(signs) == 1.0):
+        raise ValueError("partition labels must be +1 or -1")
+    return signs
 
 
 @dataclass(frozen=True)
@@ -100,12 +116,18 @@ def _sym(m: np.ndarray) -> np.ndarray:
 
 
 class GaussianModel:
-    """One potential matrix with its eigendecomposition cached.
+    """One potential matrix with its eigenbasis cached.
 
-    Every quantity of interest is a spectral function of V, so a single
-    symmetric eigendecomposition serves all temperatures and all
-    partitions.  A circulant V also keeps its Fourier spectrum and the
-    periods that take the Bloch-block path (see the module docstring).
+    Every quantity of interest is a spectral function of V, so one
+    eigenbasis serves all temperatures and all partitions.  A general V
+    takes one O(n^3) symmetric ``eigh`` at construction.  An exactly
+    circulant V (the ring) runs none: its spectrum is the DFT of row 0,
+    and its eigenbasis is the real Fourier basis of mirror centre 0, an
+    n x n array built on the first call that needs it (a dense-route
+    spectrum or ``covariance``).  Bloch-route partitions never build
+    it, so a ring costs O(n^2) to construct.  The spectrum of A A^T is
+    taken by one of three routes, Bloch, mirror or dense, picked from
+    the input with no option (see the module docstring).
     """
 
     def __init__(self, potential):
@@ -113,29 +135,59 @@ class GaussianModel:
         if v.ndim != 2 or v.shape[0] != v.shape[1]:
             raise ValueError(f"potential must be square, got shape {v.shape}")
         v = _sym(v)
-        lam, u = np.linalg.eigh(v)
-        if lam[0] <= 0.0:
+        if _is_circulant(v):
+            lam, u = np.fft.fft(v[0]).real, None
+        else:
+            lam, u = np.linalg.eigh(v)
+        if lam.min() <= 0.0:
             raise ValueError(
-                f"potential matrix is not positive definite (minimum eigenvalue {lam[0]})"
+                f"potential matrix is not positive definite (minimum eigenvalue {lam.min()})"
             )
         self.n = n = v.shape[0]
-        self._u = u
-        self._s = np.sqrt(lam)
-        # Bloch route: s_k = sqrt of the Fourier spectrum of row 0, and
-        # the periods L that leave at least 4 cells of L sites each.
+        self._modes = None if u is None else (u, np.sqrt(lam))
+        # Bloch and mirror routes: s_k = sqrt of the Fourier spectrum of
+        # row 0, the periods L that leave at least 4 cells of L sites
+        # each, and the mirror bases by centre parity, built on first use.
         self._bloch_s = None
         self._periods = ()
-        if _is_circulant(v):
-            lam_k = np.fft.fft(v[0]).real
-            if lam_k.min() > 0.0:
-                self._bloch_s = np.sqrt(lam_k)
-                self._periods = tuple(p for p in range(1, n // 4 + 1) if n % p == 0)
+        self._mirror = {}
+        if u is None:
+            self._bloch_s = np.sqrt(lam)
+            self._periods = tuple(p for p in range(1, n // 4 + 1) if n % p == 0)
+
+    def _eigenbasis(self) -> tuple:
+        """Orthonormal eigenvectors of V as columns, and their frequencies."""
+        if self._modes is None:
+            return self._mirror_basis(0)[:2]
+        return self._modes
+
+    def _mirror_basis(self, h: int) -> tuple:
+        """(U, s, e): real Fourier modes of a circulant V about centre h.
+
+        Columns cos(2 pi k (i - h/2)/n), k = 0 .. floor(n/2), are even
+        under i -> h - i and the e columns come first; then sin(...),
+        k = 1 .. floor(n/2), which are odd.  The one column that vanishes
+        for even n is left out, so U is n x n and orthogonal; column k has
+        frequency s_k.  In this basis a partition that is unchanged under
+        the reflection is block diagonal over the even and odd columns.
+        """
+        if h not in self._mirror:
+            n = self.n
+            k_even = np.arange((n - h) // 2 + 1)
+            k = np.concatenate([k_even, np.arange(1, (n + h + 1) // 2)])
+            # the phase pi k (2i - h) / n, reduced exactly modulo 2 pi
+            phase = (np.pi / n) * (((2 * np.arange(n) - h)[:, None] * k) % (2 * n))
+            e = k_even.size
+            u = np.concatenate([np.cos(phase[:, :e]), np.sin(phase[:, e:])], axis=1)
+            u /= np.linalg.norm(u, axis=0)
+            self._mirror[h] = (u, self._bloch_s[k], e)
+        return self._mirror[h]
 
     def covariance(self, temperature: float) -> ThermalGaussianState:
-        w = _weights(self._s, temperature)
-        u = self._u
-        x = _sym((u * (w / self._s)) @ u.T)
-        p = _sym((u * (w * self._s)) @ u.T)
+        u, s = self._eigenbasis()
+        w = _weights(s, temperature)
+        x = _sym((u * (w / s)) @ u.T)
+        p = _sym((u * (w * s)) @ u.T)
         return ThermalGaussianState(x_block=x, p_block=p, temperature=temperature)
 
     def _period(self, signs: np.ndarray):
@@ -143,6 +195,24 @@ class GaussianModel:
         for p in self._periods:
             if np.array_equal(signs[p:], signs[:-p]):
                 return p
+        return None
+
+    def _mirror_centre(self, signs: np.ndarray):
+        """Smallest c with signs[(c - i) % n] == signs[i], on a circulant V.
+
+        The cyclic self-convolution sum_i s_i s_(c-i) is n at a mirror
+        centre and at most n - 4 elsewhere (its -1 terms come in pairs
+        i, c - i), so the FFT proposes the centres and an exact compare
+        confirms them.
+        """
+        if self._bloch_s is None:
+            return None
+        n = self.n
+        conv = np.fft.irfft(np.fft.rfft(signs) ** 2, n)
+        i = np.arange(n)
+        for c in np.flatnonzero(conv > n - 2):
+            if np.array_equal(signs[(c - i) % n], signs):
+                return int(c)
         return None
 
     def _spectrum(self, temperature: float, partition) -> np.ndarray:
@@ -155,13 +225,15 @@ class GaussianModel:
         period = self._period(signs)
         if period is not None:
             return _bloch_spectrum(self._bloch_s, temperature, signs[:period])
-        w = _weights(self._s, temperature)
-        u = self._u
-        # A = D+^{1/2} (U^T P U) D-^{1/2}; A A^T has the spectrum of Q
-        a = u.T @ (signs[:, None] * u)
-        a *= np.sqrt(self._s / w)[:, None]
-        a *= np.sqrt(1.0 / (w * self._s))[None, :]
-        return np.linalg.eigvalsh(a @ a.T)
+        centre = self._mirror_centre(signs)
+        if centre is None:
+            return _dense_spectrum(*self._eigenbasis(), temperature, signs)
+        # V is translation invariant: shift the centre to 0 or 1
+        u, s, e = self._mirror_basis(centre % 2)
+        signs = np.roll(signs, -(centre // 2))
+        even = _dense_spectrum(u[:, :e], s[:e], temperature, signs)
+        odd = _dense_spectrum(u[:, e:], s[e:], temperature, signs)
+        return np.sort(np.concatenate([even, odd]))
 
     def log_negativity(self, temperature: float, partition) -> float:
         """Spectral-route E_l in bits across the given partition."""
@@ -199,9 +271,23 @@ def _weights(s: np.ndarray, temperature: float) -> np.ndarray:
         return 1.0 / np.tanh(s / (2.0 * temperature))
 
 
-def _is_circulant(v: np.ndarray) -> bool:
-    """Every row is exactly the cyclic shift of row 0."""
-    return np.array_equal(v[1:, 1:], v[:-1, :-1]) and np.array_equal(v[1:, 0], v[0, :0:-1])
+def _dense_spectrum(
+    u: np.ndarray, s: np.ndarray, temperature: float, signs: np.ndarray
+) -> np.ndarray:
+    """Ascending eigenvalues of A A^T over the orthonormal modes ``u``.
+
+    With S the smaller sign class, U^T P U = +-(I - 2 U_S^T U_S) for
+    labels of exactly +-1, and A A^T does not see the overall sign.
+    The columns of ``u`` are modes of V with frequencies s: the full
+    eigenbasis on the dense route, one parity block on the mirror route.
+    """
+    w = _weights(s, temperature)
+    minus = signs < 0
+    us = u[minus if 2 * np.count_nonzero(minus) <= signs.size else ~minus]
+    a = np.eye(s.size) - 2.0 * (us.T @ us)
+    a *= np.sqrt(s / w)[:, None]
+    a *= np.sqrt(1.0 / (w * s))[None, :]
+    return np.linalg.eigvalsh(a @ a.T)
 
 
 def _bloch_spectrum(s: np.ndarray, temperature: float, cell: np.ndarray) -> np.ndarray:

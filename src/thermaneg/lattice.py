@@ -91,6 +91,11 @@ class ModelSpec:
                 raise ValueError(f"harmonic star coupling must be positive, got c={self.c}")
 
 
+def _is_circulant(v: np.ndarray) -> bool:
+    """Every row is exactly the cyclic shift of row 0."""
+    return np.array_equal(v[1:, 1:], v[:-1, :-1]) and np.array_equal(v[1:, 0], v[0, :0:-1])
+
+
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
@@ -109,7 +114,9 @@ class PotentialMatrix:
             raise ValueError(f"potential matrix shape {m.shape} does not match n={self.n}")
         if not np.array_equal(m, m.T):
             raise ValueError("potential matrix must be exactly symmetric")
-        lam_min = float(np.linalg.eigvalsh(m)[0])
+        # a circulant's eigenvalues are the DFT of its row 0
+        lam = np.fft.rfft(m[0]).real if _is_circulant(m) else np.linalg.eigvalsh(m)
+        lam_min = float(lam.min())
         if lam_min <= 0.0:
             raise ValueError(
                 f"potential matrix must be positive definite; minimum eigenvalue {lam_min}"

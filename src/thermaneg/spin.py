@@ -133,13 +133,20 @@ class SpinModel:
         return (e_n, e_n if e_n > 0.0 else -float(spectrum.min()))
 
 
+def _labels(partition):
+    labels = getattr(partition, "labels", partition)
+    if any(s not in (-1, +1) for s in labels):
+        raise ValueError("partition labels must be +1 or -1")
+    return labels
+
+
 def partial_transpose(rho, partition) -> np.ndarray:
     """Transpose the indices of every site labeled +1.
 
     Involutive and trace preserving; on a real symmetric matrix the
     result is again real symmetric.
     """
-    labels = getattr(partition, "labels", partition)
+    labels = _labels(partition)
     mat = np.asarray(rho)
     n = len(labels)
     dim = mat.shape[0]
@@ -181,7 +188,7 @@ def _pt_spectrum(rho, partition) -> np.ndarray:
     entries, takes one dense eigensolve.
     """
     pt = partial_transpose(rho, partition)
-    labels = getattr(partition, "labels", partition)
+    labels = _labels(partition)
     dim = pt.shape[0]
     transposed = sum(1 << (len(labels) - 1 - i) for i, s in enumerate(labels) if s > 0)
     charge = _ones(dim, (dim - 1) ^ transposed) - _ones(dim, transposed)

@@ -4,6 +4,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thermaneg.gaussian import (
     GaussianModel,
@@ -15,7 +17,12 @@ from thermaneg.gaussian import (
     thermal_covariance,
 )
 from thermaneg.analysis import EPS_PPT, threshold_temperature
-from thermaneg.lattice import ModelSpec, build_ring_potential, build_star_potential
+from thermaneg.lattice import (
+    ModelSpec,
+    PotentialMatrix,
+    build_ring_potential,
+    build_star_potential,
+)
 from thermaneg.partitions import (
     alternating_blocks,
     central_vs_rest,
@@ -143,6 +150,15 @@ class TestLogNegativity:
         with pytest.raises(ValueError):
             model.log_negativity(0.3, half_half(6))
 
+    @pytest.mark.parametrize("bad", [0.0, 2.0, math.nan], ids=["zero", "two", "nan"])
+    def test_labels_other_than_plus_minus_one_rejected(self, bad):
+        # raw labels must mean what Partition labels mean on both engines
+        model = GaussianModel(build_ring_potential(8, 0.4))
+        labels = [bad, -1, 1, -1, 1, -1, 1, -1]
+        for call in (model.negativity_pair, model.ppt_margin):
+            with pytest.raises(ValueError, match="partition labels must be"):
+                call(0.5, labels)
+
     def test_nan_temperature_rejected(self):
         model = GaussianModel(build_ring_potential(8, 0.4))
         with pytest.raises(ValueError, match="temperature must be nonnegative"):
@@ -211,6 +227,27 @@ def dense_spectrum(v):
     return at
 
 
+def assert_matches_dense_around_each_threshold(n, partitions):
+    """E_l, margin and verdict against ``dense_spectrum`` on an n-site ring."""
+    for c in (0.3, 0.4, 0.45):
+        spec = ModelSpec(kind="harmonic", topology="ring_nn", n_sites=n, c=c)
+        v = build_ring_potential(n, c)
+        model = GaussianModel(v)
+        dense = dense_spectrum(v)
+        for p in partitions:
+            t_th = threshold_temperature(
+                spec, p, t_lo=0.05, t_hi=2.0, tol=1e-3, scan_points=8, engine=model
+            ).t_threshold
+            for t in (0.0, 0.5 * t_th, 0.97 * t_th, 1.03 * t_th, math.inf):
+                ev = dense(t, p)
+                gains = ev[ev > 1.0 + 1e-12]
+                e_l = float(np.sum(np.log2(gains)))
+                e_n, margin = model.ppt_margin(t, p)
+                assert model.log_negativity(t, p) == pytest.approx(e_l, abs=1e-10)
+                assert margin == pytest.approx(ev[-1] - 1.0, abs=1e-10)
+                assert (e_n < EPS_PPT) == (2.0**e_l - 1.0 < EPS_PPT)
+
+
 def bloch_partitions(n):
     """Even-odd and every alternating_blocks partition with n/L >= 4."""
     n_exp = n.bit_length() - 1
@@ -226,26 +263,29 @@ def eigvalsh_shapes(monkeypatch):
     return shapes
 
 
+def reflections(signs):
+    """Every c with signs[(c - i) % n] == signs[i], by brute force."""
+    n = len(signs)
+    return [c for c in range(n) if all(signs[(c - i) % n] == signs[i] for i in range(n))]
+
+
+def has_period(signs):
+    """A period L of the signs with n/L >= 4, by brute force."""
+    n = len(signs)
+    return any(
+        n % p == 0 and all(signs[i] == signs[(i + p) % n] for i in range(n))
+        for p in range(1, n // 4 + 1)
+    )
+
+
+# a seeded 256-site mask with neither a period nor a mirror
+ASYMMETRIC_256 = from_mask("".join(np.random.default_rng(99).choice(list("+-"), 256)))
+
+
 class TestBlochRoute:
     @pytest.mark.parametrize("n", [8, 16, 64, 256, 512])
     def test_agrees_with_the_dense_spectrum_around_each_threshold(self, n):
-        for c in (0.3, 0.4, 0.45):
-            spec = ModelSpec(kind="harmonic", topology="ring_nn", n_sites=n, c=c)
-            v = build_ring_potential(n, c)
-            model = GaussianModel(v)
-            dense = dense_spectrum(v)
-            for p in bloch_partitions(n):
-                t_th = threshold_temperature(
-                    spec, p, t_lo=0.05, t_hi=2.0, tol=1e-3, scan_points=8, engine=model
-                ).t_threshold
-                for t in (0.0, 0.5 * t_th, 0.97 * t_th, 1.03 * t_th, math.inf):
-                    ev = dense(t, p)
-                    gains = ev[ev > 1.0 + 1e-12]
-                    e_l = float(np.sum(np.log2(gains)))
-                    e_n, margin = model.ppt_margin(t, p)
-                    assert model.log_negativity(t, p) == pytest.approx(e_l, abs=1e-10)
-                    assert margin == pytest.approx(ev[-1] - 1.0, abs=1e-10)
-                    assert (e_n < EPS_PPT) == (2.0**e_l - 1.0 < EPS_PPT)
+        assert_matches_dense_around_each_threshold(n, bloch_partitions(n))
 
     def test_even_odd_solves_only_two_by_two_blocks(self, eigvalsh_shapes):
         model = GaussianModel(build_ring_potential(256, 0.4))
@@ -257,12 +297,10 @@ class TestBlochRoute:
     @pytest.mark.parametrize(
         "v, p",
         [
-            (build_ring_potential(256, 0.4), transfer_sweep(256)[5]),
-            (build_ring_potential(256, 0.4), half_half(256)),
-            (build_ring_potential(256, 0.4), alternating_blocks(8, 2)),
+            (build_ring_potential(256, 0.4), ASYMMETRIC_256),
             (build_star_potential(8, 1.0), even_odd(8, topology="star")),
         ],
-        ids=["transfer", "half-half", "blocks-n/L=2", "star"],
+        ids=["ring-no-symmetry", "star"],
     )
     def test_other_inputs_take_one_dense_solve(self, eigvalsh_shapes, v, p):
         GaussianModel(v).negativity_pair(0.5, p)
@@ -273,6 +311,139 @@ class TestBlochRoute:
         model = GaussianModel(build_ring_potential(256, 0.4))
         with pytest.raises(ValueError, match="temperature must be nonnegative"):
             model.negativity_pair(t, even_odd(256))
+
+
+def mirrored_masks(n, rng, count=2):
+    """Seeded random masks made symmetric about an even and an odd centre."""
+    masks = []
+    for centre in (0, 1) * count:
+        i = np.arange(n)
+        while True:
+            signs = rng.choice([-1, 1], n)[np.minimum(i, (centre - i) % n)]
+            if len(set(signs)) == 2:
+                break
+        masks.append(from_mask("".join("+" if s > 0 else "-" for s in signs)))
+    return masks
+
+
+def mirror_partitions(n):
+    """Transfer partitions (n <= 64), half-half, n/L = 2 blocks, random mirrored masks."""
+    # on 2 sites only a constant mask is symmetric about centre 1
+    parts = mirrored_masks(n, np.random.default_rng(n)) if n > 2 else [from_mask("-+")]
+    if n % 2 == 0:
+        parts.append(half_half(n))
+        if 4 <= n <= 64:
+            parts += transfer_sweep(n)
+    if n % 4 == 0:
+        parts.append(from_mask("".join("+-+-"[4 * i // n] for i in range(n))))
+    return parts
+
+
+class TestMirrorRoute:
+    @pytest.mark.parametrize("n", [2, 3, 5, 7, 16, 64, 200, 256])
+    def test_agrees_with_the_dense_spectrum_around_each_threshold(self, n):
+        assert_matches_dense_around_each_threshold(n, mirror_partitions(n))
+
+    @pytest.mark.parametrize(
+        "v, p",
+        [
+            (build_ring_potential(256, 0.4), transfer_sweep(256)[5]),
+            (build_ring_potential(256, 0.4), half_half(256)),
+            (build_ring_potential(256, 0.4), alternating_blocks(8, 2)),
+        ],
+        ids=["transfer", "half-half", "blocks-n/L=2"],
+    )
+    def test_mirror_partitions_solve_two_half_blocks(self, eigvalsh_shapes, v, p):
+        GaussianModel(v).negativity_pair(0.5, p)
+        assert len(eigvalsh_shapes) == 2
+        assert all(shape[0] <= v.n // 2 + 1 for shape in eigvalsh_shapes)
+        assert sum(shape[0] for shape in eigvalsh_shapes) == v.n
+
+    def test_seeded_mask_has_neither_a_period_nor_a_mirror(self):
+        assert not reflections(ASYMMETRIC_256.labels)
+        assert not has_period(ASYMMETRIC_256.labels)
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(
+        signs=st.lists(st.sampled_from((-1, 1)), min_size=2, max_size=24),
+        centre=st.one_of(st.none(), st.integers(0, 23)),
+        shift=st.integers(0, 23),
+    )
+    def test_mirror_route_runs_exactly_on_reflection_symmetric_masks(self, signs, centre, shift):
+        n = len(signs)
+        if centre is not None:
+            # make half the examples symmetric about centre, even or odd
+            i = np.arange(n)
+            signs = [signs[j] for j in np.minimum(i, (centre - i) % n)]
+        signs = np.array(signs)
+        model = GaussianModel(build_ring_potential(n, 0.4))
+        shapes = []
+        solve = np.linalg.eigvalsh
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(np.linalg, "eigvalsh", lambda m: shapes.append(m.shape) or solve(m))
+            e_l = model.log_negativity(0.3, signs)
+        if has_period(signs):
+            assert len(shapes) == 1 and len(shapes[0]) == 3
+        elif reflections(signs):
+            assert len(shapes) == 2 and shapes[0][0] + shapes[1][0] == n
+        else:
+            assert shapes == [(n, n)]
+        for moved in (np.roll(signs, shift % n), signs[::-1]):
+            assert model.log_negativity(0.3, moved) == pytest.approx(e_l, abs=1e-12)
+
+
+@pytest.fixture
+def eigh_shapes(monkeypatch):
+    """Record the shape of every eigh input from here on."""
+    shapes = []
+    solve = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: shapes.append(m.shape) or solve(m))
+    return shapes
+
+
+class TestRingBuild:
+    def test_ring_runs_no_eigh(self, eigh_shapes, eigvalsh_shapes):
+        n = 64
+        model = GaussianModel(build_ring_potential(n, 0.4))
+        assert eigvalsh_shapes == []
+        model.covariance(0.5)
+        rng = np.random.default_rng(5)
+        asymmetric = from_mask("".join(rng.choice(list("+-"), n)))
+        for p in (even_odd(n), half_half(n), transfer_sweep(n)[3], asymmetric):
+            model.negativity_pair(0.5, p)
+        assert eigh_shapes == []
+        assert (n, n) in eigvalsh_shapes
+
+    @pytest.mark.parametrize("c", [0.5, 0.6, -0.6])
+    def test_circulant_that_is_not_positive_definite_is_refused(self, c):
+        # eigenvalues 1 - 2c cos(2 pi k/n): exactly 0 at k = 0 for c = 1/2,
+        # and negative only at k = n/2 for c = -0.6
+        n = 8
+        v = np.eye(n) - c * (np.eye(n, k=1) + np.eye(n, k=-1))
+        v[0, -1] = v[-1, 0] = -c
+        with pytest.raises(ValueError, match="not positive definite"):
+            GaussianModel(v)
+        with pytest.raises(ValueError, match="must be positive definite"):
+            PotentialMatrix(n=n, entries=v)
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 16, 64])
+    def test_covariance_matches_one_built_from_eigh(self, n):
+        v = build_ring_potential(n, 0.45)
+        lam, u = np.linalg.eigh(v.entries)
+        s = np.sqrt(lam)
+        model = GaussianModel(v)
+        for t in (0.0, 0.5, 3.0):
+            w = np.ones_like(s) if t == 0.0 else 1.0 / np.tanh(s / (2.0 * t))
+            state = model.covariance(t)
+            assert np.abs(state.x_block - (u * (w / s)) @ u.T).max() <= 1e-12
+            assert np.abs(state.p_block - (u * (w * s)) @ u.T).max() <= 1e-12
+
+    def test_bloch_only_model_never_builds_a_basis(self):
+        model = GaussianModel(build_ring_potential(256, 0.4))
+        for p in bloch_partitions(256):
+            model.negativity_pair(0.5, p)
+            model.ppt_margin(0.5, p)
+        assert model._mirror == {}
 
 
 class TestStarClosedForm:

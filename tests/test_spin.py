@@ -192,6 +192,20 @@ class TestPartialTranspose:
         with pytest.raises(ValueError):
             partial_transpose(np.eye(8), from_mask("+-"))
 
+    @pytest.mark.parametrize("bad", [0.0, 2.0, math.nan], ids=["zero", "two", "nan"])
+    def test_labels_other_than_plus_minus_one_rejected(self, bad):
+        # a raw label must mean what a Partition label means, not "positive"
+        model = SpinModel(ring(4))
+        labels = [bad, -1, 1, -1]
+        for call in (
+            lambda: partial_transpose(model.thermal_rho(0.5), labels),
+            lambda: negativity(model.thermal_rho(0.5), labels),
+            lambda: model.negativity_pair(0.5, labels),
+            lambda: model.ppt_margin(0.5, labels),
+        ):
+            with pytest.raises(ValueError, match="partition labels must be"):
+                call()
+
 
 class TestNegativity:
     def test_bell_ground_state(self):
