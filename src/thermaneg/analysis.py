@@ -271,25 +271,18 @@ def sweep(
     return SweepGrid(spec=spec, rows=rows)
 
 
-def _check_scan_points(scan_points: int) -> None:
-    """A scan cell needs two ends."""
-    if not scan_points >= 2:
-        raise ValueError(f"scan_points must be at least 2, got {scan_points}")
-
-
 def threshold_temperature(
     spec: ModelSpec,
     partition,
     t_lo: float = _DEFAULT_BRACKET[0],
     t_hi: float = _DEFAULT_BRACKET[1],
     tol: float = 1e-6,
-    scan_points: int = 8,
     engine=None,
     max_spin_sites: int = MAX_SPIN_SITES_DEFAULT,
 ) -> ThresholdResult:
     """Temperature where the partition's negativity dies out.
 
-    A guard scan over ``scan_points`` equally spaced temperatures
+    A guard scan over 8 equally spaced temperatures
     locates the largest-T cell where the verdict E_N > EPS_PPT falls,
     and secant steps on the engine's ``ppt_margin`` narrow the bracket
     below ``tol`` (see ``_root``).  The partition must be entangled at
@@ -297,7 +290,6 @@ def threshold_temperature(
     message.  Should the scan see several sign changes, the largest-T
     one is refined and a warning is attached.
     """
-    _check_scan_points(scan_points)
     if engine is None:
         engine = make_engine(spec, max_spin_sites=max_spin_sites)
     evaluations = 0
@@ -323,7 +315,7 @@ def threshold_temperature(
             f"still entangled at T_hi={t_hi:g} (E_N={hi_val:.3e}); enlarge the bracket"
         )
 
-    ts = [float(t) for t in np.linspace(t_lo, t_hi, scan_points)]
+    ts = [float(t) for t in np.linspace(t_lo, t_hi, 8)]
     scan = [(True, lo_margin)] + [probe(t) for t in ts[1:-1]] + [(False, hi_margin)]
     lo, hi, warning = _root(probe, ts, scan, tol)
     return ThresholdResult(
@@ -498,7 +490,6 @@ def star_external_crossing(
     h: float,
     t_range: tuple = (1.5, 3.0),
     tol: float = 1e-4,
-    scan_points: int = 33,
     max_spin_sites: int = MAX_SPIN_SITES_DEFAULT,
 ) -> float:
     """Temperature where two star sizes trade places in external-site
@@ -506,8 +497,8 @@ def star_external_crossing(
 
     Below the returned T* the larger of the two systems has the smaller
     single-external-site E_N; above it the larger system wins.  The
-    difference small-system minus large-system is scanned over
-    ``t_range`` for a positive-to-negative sign change, and the
+    difference small-system minus large-system is scanned at 33 points
+    of ``t_range`` for a positive-to-negative sign change, and the
     largest-T one is narrowed to ``tol`` by secant steps on that
     difference (see ``_root``).  No such change, or only changes of the
     opposite orientation, raise CrossingError.
@@ -516,7 +507,6 @@ def star_external_crossing(
 
     if n_a == n_b:
         raise ValueError("crossing needs two different system sizes")
-    _check_scan_points(scan_points)
     n_small, n_large = sorted((int(n_a), int(n_b)))
     engines = {}
     parts = {}
@@ -531,7 +521,7 @@ def star_external_crossing(
         diff = small - large
         return diff > 0.0, diff
 
-    ts = [float(t) for t in np.linspace(t_range[0], t_range[1], scan_points)]
+    ts = [float(t) for t in np.linspace(t_range[0], t_range[1], 33)]
     scan = [probe(t) for t in ts]
     found = _root(probe, ts, scan, tol)
     if found is None:

@@ -301,6 +301,8 @@ class Experiment:
             temps = tuple(float(t) for t in np.linspace(vals[0], vals[1], int(vals[2])))
         if temps is not None and len(set(temps)) != len(temps):
             raise ConfigError(f"schedule: temperatures must be distinct, got {list(temps)}")
+        if temps is not None and any(t < 0.0 for t in temps):
+            raise ConfigError(f"schedule: temperatures must be nonnegative, got {list(temps)}")
         return temps
 
     def _model(self, n: int) -> ModelSpec:

@@ -15,8 +15,9 @@ computed by two deliberately independent routes:
   V^{-+1/2}) satisfies U^T Q U = M D- M D+, which is similar to A A^T
   with A = D+^{1/2} M D-^{1/2}.  E_l sums log2 of the eigenvalues of
   the symmetric A A^T above 1, so the spectrum is real by construction.
-  ``GaussianModel`` takes this spectrum by one of three routes, tried
-  in this order and picked from its input with no option:
+  ``GaussianModel`` reads lambda and U from ``lattice.PotentialMatrix``
+  and takes this spectrum by one of three routes, tried in this order
+  and picked from its input with no option:
 
   - Bloch blocks: V is exactly circulant (every row the cyclic shift of
     row 0) and the partition's smallest period L divides n with
@@ -66,7 +67,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import _is_circulant, build_star_potential
+from .lattice import PotentialMatrix, build_star_potential
 
 __all__ = [
     "ThermalGaussianState",
@@ -85,10 +86,6 @@ _UNIT_CUTOFF = 1e-12
 # Imaginary parts beyond this fraction of the spectral radius mean the
 # eigensolver failed on a matrix that is similar to a symmetric one.
 _IMAG_TOL = 1e-9
-
-
-def _entries(v) -> np.ndarray:
-    return np.asarray(getattr(v, "entries", v), dtype=float)
 
 
 def _labels(p) -> np.ndarray:
@@ -119,47 +116,39 @@ class GaussianModel:
     """One potential matrix with its eigenbasis cached.
 
     Every quantity of interest is a spectral function of V, so one
-    eigenbasis serves all temperatures and all partitions.  A general V
-    takes one O(n^3) symmetric ``eigh`` at construction.  An exactly
-    circulant V (the ring) runs none: its spectrum is the DFT of row 0,
-    and its eigenbasis is the real Fourier basis of mirror centre 0, an
-    n x n array built on the first call that needs it (a dense-route
-    spectrum or ``covariance``).  Bloch-route partitions never build
-    it, so a ring costs O(n^2) to construct.  The spectrum of A A^T is
-    taken by one of three routes, Bloch, mirror or dense, picked from
-    the input with no option (see the module docstring).
+    eigenbasis serves all temperatures and all partitions.  The model
+    reads V's spectrum from its ``PotentialMatrix``, which finds and
+    checks it (a bare array is symmetrised and wrapped in one).  A
+    circulant V (the ring) brings no eigenvectors: its eigenbasis is the
+    real Fourier basis of mirror centre 0, built on the first call that
+    needs it (a dense-route spectrum or ``covariance``), never on the
+    Bloch route.  The spectrum of A A^T is taken by one of three routes,
+    Bloch, mirror or dense, picked from the input with no option (see
+    the module docstring).
     """
 
     def __init__(self, potential):
-        v = _entries(potential)
-        if v.ndim != 2 or v.shape[0] != v.shape[1]:
-            raise ValueError(f"potential must be square, got shape {v.shape}")
-        v = _sym(v)
-        if _is_circulant(v):
-            lam, u = np.fft.fft(v[0]).real, None
-        else:
-            lam, u = np.linalg.eigh(v)
-        if lam.min() <= 0.0:
-            raise ValueError(
-                f"potential matrix is not positive definite (minimum eigenvalue {lam.min()})"
-            )
-        self.n = n = v.shape[0]
-        self._modes = None if u is None else (u, np.sqrt(lam))
-        # Bloch and mirror routes: s_k = sqrt of the Fourier spectrum of
-        # row 0, the periods L that leave at least 4 cells of L sites
-        # each, and the mirror bases by centre parity, built on first use.
-        self._bloch_s = None
+        if not isinstance(potential, PotentialMatrix):
+            v = np.asarray(potential, dtype=float)
+            if v.ndim != 2 or v.shape[0] != v.shape[1]:
+                raise ValueError(f"potential must be square, got shape {v.shape}")
+            potential = PotentialMatrix(v.shape[0], _sym(v))
+        self.n = n = potential.n
+        # frequencies s and eigenvectors u, None exactly when V is
+        # circulant: then the Bloch route uses the periods L with n/L >= 4
+        # and the mirror route a basis per centre parity, built on use.
+        lam, self._u = potential.spectrum
+        self._s = np.sqrt(lam)
         self._periods = ()
         self._mirror = {}
-        if u is None:
-            self._bloch_s = np.sqrt(lam)
+        if self._u is None:
             self._periods = tuple(p for p in range(1, n // 4 + 1) if n % p == 0)
 
     def _eigenbasis(self) -> tuple:
         """Orthonormal eigenvectors of V as columns, and their frequencies."""
-        if self._modes is None:
+        if self._u is None:
             return self._mirror_basis(0)[:2]
-        return self._modes
+        return self._u, self._s
 
     def _mirror_basis(self, h: int) -> tuple:
         """(U, s, e): real Fourier modes of a circulant V about centre h.
@@ -180,7 +169,7 @@ class GaussianModel:
             e = k_even.size
             u = np.concatenate([np.cos(phase[:, :e]), np.sin(phase[:, e:])], axis=1)
             u /= np.linalg.norm(u, axis=0)
-            self._mirror[h] = (u, self._bloch_s[k], e)
+            self._mirror[h] = (u, self._s[k], e)
         return self._mirror[h]
 
     def covariance(self, temperature: float) -> ThermalGaussianState:
@@ -205,7 +194,7 @@ class GaussianModel:
         i, c - i), so the FFT proposes the centres and an exact compare
         confirms them.
         """
-        if self._bloch_s is None:
+        if self._u is not None:
             return None
         n = self.n
         conv = np.fft.irfft(np.fft.rfft(signs) ** 2, n)
@@ -224,7 +213,7 @@ class GaussianModel:
             )
         period = self._period(signs)
         if period is not None:
-            return _bloch_spectrum(self._bloch_s, temperature, signs[:period])
+            return _bloch_spectrum(self._s, temperature, signs[:period])
         centre = self._mirror_centre(signs)
         if centre is None:
             return _dense_spectrum(*self._eigenbasis(), temperature, signs)
@@ -242,7 +231,7 @@ class GaussianModel:
     def negativity_pair(self, temperature: float, partition) -> tuple:
         """(E_N, E_l) with E_N = 2**E_l - 1."""
         el = self.log_negativity(temperature, partition)
-        return (2.0**el - 1.0, el)
+        return (_negativity(el), el)
 
     def ppt_margin(self, temperature: float, partition) -> tuple:
         """(E_N, lambda_max(A A^T) - 1) from one spectrum.
@@ -254,7 +243,7 @@ class GaussianModel:
         eigenvalue over the momentum blocks.
         """
         ev = self._spectrum(temperature, partition)
-        return (2.0 ** _log_gain(ev) - 1.0, float(ev[-1]) - 1.0)
+        return (_negativity(_log_gain(ev)), float(ev[-1]) - 1.0)
 
 
 def _weights(s: np.ndarray, temperature: float) -> np.ndarray:
@@ -314,6 +303,11 @@ def _log_gain(ev: np.ndarray) -> float:
     """E_l: log2 summed over the eigenvalues of A A^T above 1."""
     gains = ev[ev > 1.0 + _UNIT_CUTOFF]
     return float(np.sum(np.log2(gains))) if gains.size else 0.0
+
+
+def _negativity(el: float) -> float:
+    """E_N = 2**E_l - 1, or inf where 2**E_l overflows a float."""
+    return 2.0**el - 1.0 if el < 1024.0 else math.inf
 
 
 def thermal_covariance(potential, temperature: float) -> ThermalGaussianState:

@@ -103,10 +103,16 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PotentialMatrix:
-    """Symmetric positive-definite coupling matrix of a harmonic model."""
+    """Symmetric positive-definite coupling matrix of a harmonic model.
+
+    ``spectrum`` is (lam, u), found and checked once here: an exactly
+    circulant V takes lam = DFT of row 0 and u = None, any other V one
+    ``eigh``.  Both arrays are read-only.
+    """
 
     n: int
     entries: np.ndarray
+    spectrum: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = self.entries
@@ -114,14 +120,14 @@ class PotentialMatrix:
             raise ValueError(f"potential matrix shape {m.shape} does not match n={self.n}")
         if not np.array_equal(m, m.T):
             raise ValueError("potential matrix must be exactly symmetric")
-        # a circulant's eigenvalues are the DFT of its row 0
-        lam = np.fft.rfft(m[0]).real if _is_circulant(m) else np.linalg.eigvalsh(m)
+        lam, u = (np.fft.fft(m[0]).real, None) if _is_circulant(m) else np.linalg.eigh(m)
         lam_min = float(lam.min())
         if lam_min <= 0.0:
             raise ValueError(
                 f"potential matrix must be positive definite; minimum eigenvalue {lam_min}"
             )
         _frozen(m)
+        object.__setattr__(self, "spectrum", (_frozen(lam), u if u is None else _frozen(u)))
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import math
 import tempfile
 
 import numpy as np
@@ -19,6 +20,7 @@ from thermaneg.cli import (
     WINDOW_HEADER,
     main,
 )
+from thermaneg.gaussian import GaussianModel
 
 
 def run(tmp_path, *args, name="out.csv"):
@@ -46,11 +48,11 @@ SPIN_RING = ["sweep", "--kind", "spin_half", "--topology", "ring_nn", "--n", "4"
 STAR_MODEL = ["sweep", "--kind", "harmonic", "--topology", "star", "--n", "4"]
 RING_PAIR = ["--kind", "harmonic", "--topology", "ring_nn", "--n-list", "8,8", "--c", "0.4"]
 
-# Repeated temperatures, partitions or sizes, an empty size list,
-# non-finite couplings and models too large to allocate (a 2 PiB dense
-# spin Hamiltonian, a 182 TiB ring potential; both exceed a 47-bit
-# address space, so they fail at once): each is a config error, on one
-# line.
+# Repeated or negative temperatures, repeated partitions or sizes, an
+# empty size list, non-finite couplings and models too large to
+# allocate (a 2 PiB dense spin Hamiltonian, a 182 TiB ring potential;
+# both exceed a 47-bit address space, so they fail at once): each is a
+# config error, on one line.
 REJECTED_INPUTS = [
     RING_MODEL + ["--t-list", "0.5,0.5", "--families", "even-odd"],
     RING_MODEL + ["--t-range", "1,1,5", "--families", "even-odd"],
@@ -76,6 +78,9 @@ REJECTED_INPUTS = [
      "--max-spin-sites", "24", "--t-list", "1", "--families", "even-odd"],
     ["threshold", "--kind", "harmonic", "--topology", "ring_nn", "--n", "5000000",
      "--c", "0.4", "--families", "even-odd"],
+    RING_MODEL + ["--t-list=-0.5,0.5", "--families", "even-odd"],
+    RING_MODEL + ["--t-range", "1,-1,3", "--families", "even-odd"],
+    ["factor-check"] + RING_MODEL[1:] + ["--t-list=-0.5,0.5", "--families", "even-odd"],
 ]
 
 
@@ -132,7 +137,18 @@ class TestSweepCommand:
         assert code == EXIT_OK
         assert text == SWEEP_HEADER + "\n"
 
-    def test_failing_cell_reports_partial_exit(self, tmp_path, capsys):
+    def test_failing_cell_reports_partial_exit(self, tmp_path, capsys, monkeypatch):
+        # every schedule the CLI accepts is valid input, so the engine is
+        # made to fail in one cell, with a comma and a line break in its
+        # message
+        pair = GaussianModel.negativity_pair
+
+        def fail_at_one(self, t, p):
+            if t == 1.0:
+                raise ValueError("cell failed,\non purpose")
+            return pair(self, t, p)
+
+        monkeypatch.setattr(GaussianModel, "negativity_pair", fail_at_one)
         code, text = run(
             tmp_path,
             "sweep",
@@ -140,7 +156,7 @@ class TestSweepCommand:
             "--topology", "ring_nn",
             "--n", "8",
             "--c", "0.4",
-            "--t-list", "0.5,-1.0",
+            "--t-list", "0.5,1.0",
             "--families", "even-odd",
         )
         assert code == EXIT_PARTIAL
@@ -157,6 +173,24 @@ class TestSweepCommand:
         assert code == EXIT_OK
         cells = text.splitlines()[1].split(",")
         assert cells[5] == "inf" and cells[10:13] == ["0", "0", "1"]
+
+    def test_negativity_beyond_float_range_is_inf(self, tmp_path):
+        # 2**E_l overflows a float once E_l passes 1024 bits
+        code, text = run(
+            tmp_path,
+            "sweep",
+            "--kind", "harmonic",
+            "--topology", "ring_nn",
+            "--n", "2048",
+            "--c", "0.45",
+            "--t-list", "0.01",
+            "--families", "even-odd",
+        )
+        assert code == EXIT_OK
+        cells = text.splitlines()[1].split(",")
+        e_n, e_l, is_ppt, error = cells[10:14]
+        assert e_n == "inf" and 1024.0 < float(e_l) < math.inf
+        assert is_ppt == "0" and error == ""
 
     def test_lf_line_endings(self, tmp_path):
         out = tmp_path / "lf.csv"

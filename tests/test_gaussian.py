@@ -195,7 +195,7 @@ class TestSymplecticOracle:
             parts.append(alternating_blocks(n.bit_length() - 1, 3))
         for p in parts:
             t_th = threshold_temperature(
-                spec, p, t_lo=0.05, t_hi=2.0, tol=1e-3, scan_points=8, engine=model
+                spec, p, t_lo=0.05, t_hi=2.0, tol=1e-3, engine=model
             ).t_threshold
             values = []
             for t in (0.5 * t_th, 0.97 * t_th, 1.03 * t_th):
@@ -236,7 +236,7 @@ def assert_matches_dense_around_each_threshold(n, partitions):
         dense = dense_spectrum(v)
         for p in partitions:
             t_th = threshold_temperature(
-                spec, p, t_lo=0.05, t_hi=2.0, tol=1e-3, scan_points=8, engine=model
+                spec, p, t_lo=0.05, t_hi=2.0, tol=1e-3, engine=model
             ).t_threshold
             for t in (0.0, 0.5 * t_th, 0.97 * t_th, 1.03 * t_th, math.inf):
                 ev = dense(t, p)
@@ -421,7 +421,7 @@ class TestRingBuild:
         n = 8
         v = np.eye(n) - c * (np.eye(n, k=1) + np.eye(n, k=-1))
         v[0, -1] = v[-1, 0] = -c
-        with pytest.raises(ValueError, match="not positive definite"):
+        with pytest.raises(ValueError, match="must be positive definite"):
             GaussianModel(v)
         with pytest.raises(ValueError, match="must be positive definite"):
             PotentialMatrix(n=n, entries=v)
@@ -444,6 +444,55 @@ class TestRingBuild:
             model.negativity_pair(0.5, p)
             model.ppt_margin(0.5, p)
         assert model._mirror == {}
+
+
+class TestPotentialSpectrum:
+    """V's spectrum is found and checked once, by ``PotentialMatrix``."""
+
+    def test_star_build_runs_one_eigh(self, eigh_shapes, eigvalsh_shapes):
+        n = 64
+        GaussianModel(build_star_potential(n, 1.0))
+        assert eigh_shapes == [(n, n)]
+        assert eigvalsh_shapes == []
+
+    @pytest.mark.parametrize(
+        "v", [build_ring_potential(64, 0.4), build_star_potential(64, 1.0)], ids=["ring", "star"]
+    )
+    def test_model_of_a_built_potential_runs_no_solve(self, monkeypatch, v):
+        calls = []
+        for module, name in [
+            (np.fft, "fft"), (np.fft, "rfft"), (np.linalg, "eigh"), (np.linalg, "eigvalsh")
+        ]:
+            solve = getattr(module, name)
+            monkeypatch.setattr(
+                module, name, lambda *a, name=name, solve=solve: calls.append(name) or solve(*a)
+            )
+        GaussianModel(v)
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "v, p",
+        [
+            (build_ring_potential(256, 0.4), even_odd(256)),
+            (build_ring_potential(256, 0.4), half_half(256)),
+            (build_ring_potential(256, 0.4), ASYMMETRIC_256),
+            (build_star_potential(16, 1.0), central_vs_rest(16)),
+        ],
+        ids=["bloch", "mirror", "ring-dense", "star-dense"],
+    )
+    def test_bare_array_matches_its_potential_matrix_bit_for_bit(self, v, p):
+        wrapped, bare = GaussianModel(v), GaussianModel(np.array(v.entries))
+        for t in (0.0, 0.5, 2.0):
+            assert np.array_equal(wrapped._spectrum(t, p), bare._spectrum(t, p))
+
+    @pytest.mark.parametrize(
+        "v",
+        [np.ones((3, 4)), np.ones(4), np.diag([1.0, -0.5]), np.zeros((3, 3))],
+        ids=["non-square", "one-dimensional", "indefinite", "zero"],
+    )
+    def test_invalid_bare_arrays_rejected(self, v):
+        with pytest.raises(ValueError):
+            GaussianModel(v)
 
 
 class TestStarClosedForm:

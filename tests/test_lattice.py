@@ -5,6 +5,7 @@ import pytest
 
 from thermaneg.lattice import (
     ModelSpec,
+    PotentialMatrix,
     SpinHamiltonian,
     build_potential,
     build_ring_potential,
@@ -139,6 +140,28 @@ class TestStarPotential:
     def test_invalid_arguments_rejected(self, n, c):
         with pytest.raises(ValueError):
             build_star_potential(n, c)
+
+
+class TestPotentialSpectrum:
+    @pytest.mark.parametrize(
+        "v", [build_ring_potential(9, 0.4), build_star_potential(9, 1.3)], ids=["ring", "star"]
+    )
+    def test_spectrum_diagonalises_the_matrix_and_is_read_only(self, v):
+        lam, u = v.spectrum
+        assert np.allclose(np.sort(lam), np.linalg.eigvalsh(v.entries), atol=1e-12)
+        if u is None:  # the circulant ring: lam is the DFT of row 0
+            assert np.array_equal(lam, np.fft.fft(v.entries[0]).real)
+        else:
+            assert np.allclose((u * lam) @ u.T, v.entries, atol=1e-12)
+            with pytest.raises(ValueError):
+                u[0, 0] = 2.0
+        with pytest.raises(ValueError):
+            lam[0] = 2.0
+
+    def test_spectrum_is_computed_not_given(self):
+        with pytest.raises(TypeError):
+            PotentialMatrix(n=2, entries=np.eye(2), spectrum=(np.ones(2), None))
+        assert "spectrum" not in repr(PotentialMatrix(n=2, entries=np.eye(2)))
 
 
 class TestBuildPotential:
