@@ -21,16 +21,7 @@ from .analysis import (
     threshold_temperature,
     type2_gap_table,
 )
-from .gaussian import (
-    GaussianModel,
-    ThermalGaussianState,
-    log_negativity_symplectic_oracle,
-    single_mode_negativity,
-    star_hub_negativity_from_covariance,
-    star_macroscopic_limit_trend,
-    star_reduced_closed_form,
-    thermal_covariance,
-)
+from .gaussian import GaussianModel
 from .lattice import (
     MAX_SPIN_SITES_DEFAULT,
     ModelSpec,

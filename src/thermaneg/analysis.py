@@ -24,6 +24,7 @@ from .lattice import (
     build_potential,
     build_spin_hamiltonian,
 )
+from .partitions import single_external_vs_rest
 from .spin import SpinModel
 
 __all__ = [
@@ -503,8 +504,6 @@ def star_external_crossing(
     difference (see ``_root``).  No such change, or only changes of the
     opposite orientation, raise CrossingError.
     """
-    from .partitions import single_external_vs_rest
-
     if n_a == n_b:
         raise ValueError("crossing needs two different system sizes")
     n_small, n_large = sorted((int(n_a), int(n_b)))

@@ -1,4 +1,4 @@
-"""Thermal covariances of quadratic models and Gaussian log-negativity.
+"""Gaussian log-negativity of thermal states of quadratic models.
 
 The covariance of the Gibbs state at temperature T splits into a
 position block V^{-1/2} W(T) and a momentum block V^{1/2} W(T), where
@@ -7,85 +7,55 @@ potential V.  At T = 0 the weight matrix W is the identity and the
 state is pure.
 
 Log-negativity across a bipartition P (diagonal sign matrix) is
-computed by two deliberately independent routes:
+computed spectrally.  In the eigenbasis U of V, with s = sqrt(lambda),
+w = coth(s/2T), M = U^T P U, D+ = diag(s/w) and D- = diag(1/(w s)), the
+partially transposed product Q = P w- P w+ (w-+ = W^{-1} V^{-+1/2})
+satisfies U^T Q U = M D- M D+, which is similar to A A^T with
+A = D+^{1/2} M D-^{1/2}.  E_l sums log2 of the eigenvalues of the
+symmetric A A^T above 1, so the spectrum is real by construction.
+``GaussianModel`` reads lambda and U from ``lattice.PotentialMatrix``
+and takes this spectrum by one of three routes, tried in this order and
+picked from its input with no option:
 
-* spectral route: in the eigenbasis U of V, with s = sqrt(lambda),
-  w = coth(s/2T), M = U^T P U, D+ = diag(s/w) and D- = diag(1/(w s)),
-  the partially transposed product Q = P w- P w+ (w-+ = W^{-1}
-  V^{-+1/2}) satisfies U^T Q U = M D- M D+, which is similar to A A^T
-  with A = D+^{1/2} M D-^{1/2}.  E_l sums log2 of the eigenvalues of
-  the symmetric A A^T above 1, so the spectrum is real by construction.
-  ``GaussianModel`` reads lambda and U from ``lattice.PotentialMatrix``
-  and takes this spectrum by one of three routes, tried in this order
-  and picked from its input with no option:
+* Bloch blocks: V is exactly circulant (every row the cyclic shift of
+  row 0) and the partition's smallest period L divides n with
+  n/L >= 4, as for even-odd (L = 2) and blocks of b sites (L = 2b).
+  In the Fourier basis, s_k = sqrt of the DFT of row 0, and A A^T is
+  block diagonal over n/L momenta kappa, each block a Hermitian L x L
+  A_k A_k^H.  One stacked eigvalsh costs O(n L^2) instead of O(n^3).
+* mirror blocks: V is exactly circulant and the signs are unchanged
+  under a reflection i -> (c - i) mod n, as for half-half, every
+  transfer partition and blocks with n/L = 2.  After a translation
+  that moves the centre to h = 0 or 1, the real Fourier modes
+  cos(2 pi k (i - h/2)/n) and sin(2 pi k (i - h/2)/n) are even and
+  odd under i -> h - i, P does not mix the two sets, and A A^T
+  splits into two blocks of about n/2.  Two eigvalsh of n/2 do a
+  quarter of the O(n^3) work of one n x n solve; an FFT of the signs
+  proposes the centres in O(n log n) and an exact compare confirms.
+* dense: one n x n eigvalsh of A A^T for everything else (a ring
+  partition with neither symmetry, the star, any V that is not
+  circulant).
 
-  - Bloch blocks: V is exactly circulant (every row the cyclic shift of
-    row 0) and the partition's smallest period L divides n with
-    n/L >= 4, as for even-odd (L = 2) and blocks of b sites (L = 2b).
-    In the Fourier basis, s_k = sqrt of the DFT of row 0, and A A^T is
-    block diagonal over n/L momenta kappa, each block a Hermitian L x L
-    A_k A_k^H.  One stacked eigvalsh costs O(n L^2) instead of O(n^3).
-  - mirror blocks: V is exactly circulant and the signs are unchanged
-    under a reflection i -> (c - i) mod n, as for half-half, every
-    transfer partition and blocks with n/L = 2.  After a translation
-    that moves the centre to h = 0 or 1, the real Fourier modes
-    cos(2 pi k (i - h/2)/n) and sin(2 pi k (i - h/2)/n) are even and
-    odd under i -> h - i, P does not mix the two sets, and A A^T
-    splits into two blocks of about n/2.  Two eigvalsh of n/2 do a
-    quarter of the O(n^3) work of one n x n solve; an FFT of the signs
-    proposes the centres in O(n log n) and an exact compare confirms.
-  - dense: one n x n eigvalsh of A A^T for everything else (a ring
-    partition with neither symmetry, the star, any V that is not
-    circulant).
+The mirror and dense routes share one kernel, which forms U^T P U as
++-(I - 2 U_S^T U_S) from the rows of the smaller sign class S.  All
+three give the one ascending spectrum that E_l and the PPT margin read.
 
-  The mirror and dense routes share one kernel, which forms U^T P U as
-  +-(I - 2 U_S^T U_S) from the rows of the smaller sign class S.  All
-  three give the one ascending spectrum that E_l and the PPT margin
-  read.
-* sign-flip oracle: momentum signs of the +1 block are flipped on the
-  full covariance, then E_l sums -log2 over the sub-unit eigenvalues
-  of the position-times-flipped-momentum product, a nonsymmetric
-  eigenproblem.  It shares only the eigenbasis of V with the
-  spectral route, and the two agree to solver precision.
-
-Convention note: each sub-unit eigenvalue in the oracle is the square
-of a symplectic eigenvalue nu of the sign-flipped covariance, so the
-E_l reported here equals Sum max(0, -2 log2 nu).  That is twice the
--log2(nu) normalization some other libraries use.  The single-mode
-helpers below report E_N = (1 - nu)/nu, whose log form
-log2(1 + E_N) = -log2(nu) sits on that halved scale.  Zero sets agree
-in every convention, so PPT verdicts and threshold temperatures never
-depend on the choice; only nonzero magnitudes do.  Where both appear
-in one table the columns are computed per these definitions and the
-discrepancy is intentional.
+Tests check all three against the sign-flip oracle in tests/oracles.py.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import PotentialMatrix, build_star_potential
+from .lattice import PotentialMatrix
 
-__all__ = [
-    "ThermalGaussianState",
-    "GaussianModel",
-    "thermal_covariance",
-    "log_negativity_symplectic_oracle",
-    "star_reduced_closed_form",
-    "single_mode_negativity",
-    "star_macroscopic_limit_trend",
-    "star_hub_negativity_from_covariance",
-]
+__all__ = ["GaussianModel"]
 
 # Eigenvalues of the partially transposed product that exceed 1 by less
 # than this are treated as 1 (pure numerical noise must not contribute).
 _UNIT_CUTOFF = 1e-12
-# Imaginary parts beyond this fraction of the spectral radius mean the
-# eigensolver failed on a matrix that is similar to a symmetric one.
-_IMAG_TOL = 1e-9
 
 
 def _labels(p) -> np.ndarray:
@@ -95,36 +65,19 @@ def _labels(p) -> np.ndarray:
     return signs
 
 
-@dataclass(frozen=True)
-class ThermalGaussianState:
-    """Position and momentum covariance blocks of a Gibbs state.
-
-    Both blocks are symmetric positive definite; at T = 0 they are
-    mutually inverse and all symplectic eigenvalues equal 1.
-    """
-
-    x_block: np.ndarray
-    p_block: np.ndarray
-    temperature: float
-
-
-def _sym(m: np.ndarray) -> np.ndarray:
-    return 0.5 * (m + m.T)
-
-
 class GaussianModel:
     """One potential matrix with its eigenbasis cached.
 
     Every quantity of interest is a spectral function of V, so one
     eigenbasis serves all temperatures and all partitions.  The model
     reads V's spectrum from its ``PotentialMatrix``, which finds and
-    checks it (a bare array is symmetrised and wrapped in one).  A
-    circulant V (the ring) brings no eigenvectors: its eigenbasis is the
-    real Fourier basis of mirror centre 0, built on the first call that
-    needs it (a dense-route spectrum or ``covariance``), never on the
-    Bloch route.  The spectrum of A A^T is taken by one of three routes,
-    Bloch, mirror or dense, picked from the input with no option (see
-    the module docstring).
+    checks it (a bare array is wrapped in one as it is, so it must be
+    exactly symmetric).  A circulant V (the ring) brings no
+    eigenvectors: its eigenbasis is the real Fourier basis of mirror
+    centre 0, built on the first dense-route spectrum that needs it,
+    never on the Bloch route.  The spectrum of A A^T is taken by one of
+    three routes, Bloch, mirror or dense, picked from the input with no
+    option (see the module docstring).
     """
 
     def __init__(self, potential):
@@ -132,7 +85,7 @@ class GaussianModel:
             v = np.asarray(potential, dtype=float)
             if v.ndim != 2 or v.shape[0] != v.shape[1]:
                 raise ValueError(f"potential must be square, got shape {v.shape}")
-            potential = PotentialMatrix(v.shape[0], _sym(v))
+            potential = PotentialMatrix(v.shape[0], v)
         self.n = n = potential.n
         # frequencies s and eigenvectors u, None exactly when V is
         # circulant: then the Bloch route uses the periods L with n/L >= 4
@@ -143,12 +96,6 @@ class GaussianModel:
         self._mirror = {}
         if self._u is None:
             self._periods = tuple(p for p in range(1, n // 4 + 1) if n % p == 0)
-
-    def _eigenbasis(self) -> tuple:
-        """Orthonormal eigenvectors of V as columns, and their frequencies."""
-        if self._u is None:
-            return self._mirror_basis(0)[:2]
-        return self._u, self._s
 
     def _mirror_basis(self, h: int) -> tuple:
         """(U, s, e): real Fourier modes of a circulant V about centre h.
@@ -171,13 +118,6 @@ class GaussianModel:
             u /= np.linalg.norm(u, axis=0)
             self._mirror[h] = (u, self._s[k], e)
         return self._mirror[h]
-
-    def covariance(self, temperature: float) -> ThermalGaussianState:
-        u, s = self._eigenbasis()
-        w = _weights(s, temperature)
-        x = _sym((u * (w / s)) @ u.T)
-        p = _sym((u * (w * s)) @ u.T)
-        return ThermalGaussianState(x_block=x, p_block=p, temperature=temperature)
 
     def _period(self, signs: np.ndarray):
         """Smallest period of the signs among ``_periods``, else None."""
@@ -216,7 +156,8 @@ class GaussianModel:
             return _bloch_spectrum(self._s, temperature, signs[:period])
         centre = self._mirror_centre(signs)
         if centre is None:
-            return _dense_spectrum(*self._eigenbasis(), temperature, signs)
+            u, s = self._mirror_basis(0)[:2] if self._u is None else (self._u, self._s)
+            return _dense_spectrum(u, s, temperature, signs)
         # V is translation invariant: shift the centre to 0 or 1
         u, s, e = self._mirror_basis(centre % 2)
         signs = np.roll(signs, -(centre // 2))
@@ -308,113 +249,3 @@ def _log_gain(ev: np.ndarray) -> float:
 def _negativity(el: float) -> float:
     """E_N = 2**E_l - 1, or inf where 2**E_l overflows a float."""
     return 2.0**el - 1.0 if el < 1024.0 else math.inf
-
-
-def thermal_covariance(potential, temperature: float) -> ThermalGaussianState:
-    """Covariance blocks of the Gibbs state at the given temperature.
-
-    The weight function is evaluated as coth(sqrt(lambda)/(2T)), which
-    is free of the overflow a literal exp-based form hits at small T;
-    T = 0 short-circuits to unit weights (pure ground state).
-    """
-    return GaussianModel(potential).covariance(temperature)
-
-
-def log_negativity_symplectic_oracle(potential, temperature: float, partition) -> float:
-    """E_l by partial transposition on the full covariance matrix.
-
-    Partial transposition of a Gaussian state flips the momentum signs
-    of the transposed block.  The eigenvalues of x_block times the
-    flipped p_block are the squared symplectic eigenvalues nu^2 of the
-    transposed state; entanglement shows up as nu < 1 and contributes
-    -log2(nu^2).  Kept free of the spectral route's shortcuts so the
-    two implementations can cross-check each other.
-    """
-    state = thermal_covariance(potential, temperature)
-    signs = _labels(partition)
-    n = state.x_block.shape[0]
-    if signs.shape != (n,):
-        raise ValueError(f"partition of size {signs.shape} does not match model size {n}")
-    flipped_p = signs[:, None] * state.p_block * signs[None, :]
-    mu = np.linalg.eigvals(state.x_block @ flipped_p)
-    radius = float(np.max(np.abs(mu)))
-    worst = float(np.max(np.abs(mu.imag)))
-    if worst > _IMAG_TOL * radius:
-        raise ArithmeticError(
-            f"partially transposed covariance product left the real axis "
-            f"(max imaginary part {worst:.3e} at spectral radius {radius:.3e})"
-        )
-    real = mu.real
-    losses = real[real < 1.0 - _UNIT_CUTOFF]
-    if losses.size == 0:
-        return 0.0
-    return float(-np.sum(np.log2(losses)))
-
-
-def star_reduced_closed_form(n: int, c: float) -> tuple:
-    """Diagonal entries (a, b) of the star hub's reduced covariance at T = 0.
-
-    a = 1/n + ((n-1)/n) sqrt(1 + n c) is the hub entry of V^{1/2} and
-    b = 1/n + (n-1)/(n sqrt(1 + n c)) the hub entry of V^{-1/2}; they
-    are returned in this order.  Only the product a*b feeds the
-    single-mode negativity, so the ordering carries no weight
-    downstream.  With R = sqrt(1 + n c) that product is exactly
-    a*b = 1 + (n-1)(R-1)^2 / (n^2 R).
-    """
-    if n < 2:
-        raise ValueError(f"star closed form needs n >= 2, got {n}")
-    if c <= 0.0:
-        raise ValueError(f"star coupling must be positive, got {c}")
-    root = math.sqrt(1.0 + n * c)
-    a = 1.0 / n + (n - 1) / n * root
-    b = 1.0 / n + (n - 1) / (n * root)
-    return (a, b)
-
-
-def single_mode_negativity(delta: float) -> float:
-    """E_N of a one-mode reduction with covariance determinant delta.
-
-    nu = sqrt(delta) - sqrt(delta - 1) and E_N = max(0, (1 - nu)/nu).
-    Determinants below 1 describe no physical reduced state and are
-    rejected; values within 1e-12 below 1 are treated as exactly 1 to
-    absorb roundoff from upstream eigendecompositions.
-    """
-    if delta < 1.0 - 1e-12:
-        raise ValueError(f"reduced covariance determinant must be >= 1, got {delta}")
-    delta = max(delta, 1.0)
-    nu = math.sqrt(delta) - math.sqrt(delta - 1.0)
-    return max(0.0, (1.0 - nu) / nu)
-
-
-def star_macroscopic_limit_trend(c: float, n_list) -> list:
-    """Rows (n, delta, E_N) of the hub closed form over a size sweep.
-
-    The determinant delta approaches 1 from above as n grows and the
-    hub negativity decays to zero, which is the large-system trend this
-    table exists to exhibit.  With x = delta - 1 = (n-1)(R-1)^2/(n^2 R),
-    R = sqrt(1 + n c), the hub negativity is E_N = sqrt(x) + sqrt(1+x) - 1
-    and x < sqrt(c/n), so E_N < (c/n)^{1/4} + (c/n)^{1/2}/2 and
-    E_N = (c/n)^{1/4} (1 + O(n^{-1/4})): the decay is a quarter power,
-    about 0.104 at n = 10^4 and c = 1.
-    """
-    if c <= 0.0:
-        raise ValueError(f"star coupling must be positive, got {c}")
-    rows = []
-    for n in n_list:
-        a, b = star_reduced_closed_form(int(n), c)
-        delta = a * b
-        rows.append((int(n), delta, single_mode_negativity(delta)))
-    return rows
-
-
-def star_hub_negativity_from_covariance(n: int, c: float) -> float:
-    """Hub E_N at T = 0 straight from the full covariance matrix.
-
-    Builds the star potential, takes the hub diagonal entries of the
-    ground-state covariance blocks, and feeds their product through the
-    single-mode formula.  Serves as the from-scratch cross-check of the
-    closed form.
-    """
-    state = thermal_covariance(build_star_potential(n, c), 0.0)
-    delta = float(state.x_block[0, 0] * state.p_block[0, 0])
-    return single_mode_negativity(delta)

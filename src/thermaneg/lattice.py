@@ -103,7 +103,7 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PotentialMatrix:
-    """Symmetric positive-definite coupling matrix of a harmonic model.
+    """Finite, symmetric positive-definite coupling matrix of a harmonic model.
 
     ``spectrum`` is (lam, u), found and checked once here: an exactly
     circulant V takes lam = DFT of row 0 and u = None, any other V one
@@ -118,11 +118,13 @@ class PotentialMatrix:
         m = self.entries
         if m.shape != (self.n, self.n):
             raise ValueError(f"potential matrix shape {m.shape} does not match n={self.n}")
+        if not np.all(np.isfinite(m)):
+            raise ValueError("potential matrix has non-finite entries")
         if not np.array_equal(m, m.T):
             raise ValueError("potential matrix must be exactly symmetric")
         lam, u = (np.fft.fft(m[0]).real, None) if _is_circulant(m) else np.linalg.eigh(m)
         lam_min = float(lam.min())
-        if lam_min <= 0.0:
+        if not lam_min > 0.0:
             raise ValueError(
                 f"potential matrix must be positive definite; minimum eigenvalue {lam_min}"
             )

@@ -12,6 +12,13 @@ import time
 
 import numpy as np
 from conftest import record_acceptance
+from oracles import (
+    log_negativity_symplectic_oracle,
+    single_mode_negativity,
+    star_hub_negativity_from_covariance,
+    star_macroscopic_limit_trend,
+    star_reduced_closed_form,
+)
 
 from thermaneg.analysis import (
     EPS_PPT,
@@ -23,14 +30,7 @@ from thermaneg.analysis import (
     type2_gap_table,
 )
 from thermaneg.cli import main as cli_main
-from thermaneg.gaussian import (
-    GaussianModel,
-    log_negativity_symplectic_oracle,
-    single_mode_negativity,
-    star_hub_negativity_from_covariance,
-    star_macroscopic_limit_trend,
-    star_reduced_closed_form,
-)
+from thermaneg.gaussian import GaussianModel
 from thermaneg.lattice import ModelSpec, build_ring_potential, build_star_potential
 from thermaneg.partitions import (
     alternating_blocks,

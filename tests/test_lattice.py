@@ -163,6 +163,15 @@ class TestPotentialSpectrum:
             PotentialMatrix(n=2, entries=np.eye(2), spectrum=(np.ones(2), None))
         assert "spectrum" not in repr(PotentialMatrix(n=2, entries=np.eye(2)))
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_non_finite_entries_refused(self, n, value):
+        # inf once gave the spectrum [nan, nan] and a false PPT verdict
+        m = np.eye(n)
+        m[0, 0] = value
+        with pytest.raises(ValueError, match="non-finite entries"):
+            PotentialMatrix(n=n, entries=m)
+
 
 class TestBuildPotential:
     def test_dispatches_on_topology(self):
