@@ -222,13 +222,7 @@ def _beta_of(temperature: float) -> float:
     return math.inf if temperature == 0.0 else 1.0 / temperature
 
 
-def sweep(
-    spec: ModelSpec,
-    temperatures,
-    partitions,
-    engine=None,
-    max_spin_sites: int = MAX_SPIN_SITES_DEFAULT,
-) -> SweepGrid:
+def sweep(spec: ModelSpec, temperatures, partitions, engine=None) -> SweepGrid:
     """Evaluate every (temperature, partition) cell of the grid.
 
     Rows come out in grid order, temperature outermost.  A failing
@@ -242,7 +236,7 @@ def sweep(
     if len({p.id for p in partitions}) != len(partitions):
         raise ValueError("partition list contains duplicate ids")
     if engine is None and partitions:
-        engine = make_engine(spec, max_spin_sites=max_spin_sites)
+        engine = make_engine(spec)
 
     def evaluate(t, part):
         e_n = e_l = float("nan")
@@ -279,7 +273,6 @@ def threshold_temperature(
     t_hi: float = _DEFAULT_BRACKET[1],
     tol: float = 1e-6,
     engine=None,
-    max_spin_sites: int = MAX_SPIN_SITES_DEFAULT,
 ) -> ThresholdResult:
     """Temperature where the partition's negativity dies out.
 
@@ -292,7 +285,7 @@ def threshold_temperature(
     one is refined and a warning is attached.
     """
     if engine is None:
-        engine = make_engine(spec, max_spin_sites=max_spin_sites)
+        engine = make_engine(spec)
     evaluations = 0
 
     def e_n_and_margin(t: float) -> tuple:
@@ -338,7 +331,6 @@ def bound_entanglement_window(
     t_hi: float = _DEFAULT_BRACKET[1],
     tol: float = 1e-6,
     engine=None,
-    max_spin_sites: int = MAX_SPIN_SITES_DEFAULT,
 ) -> WindowResult:
     """Window between the two partitions' thresholds, verified at its
     midpoint (certificate PPT, witness entangled).
@@ -349,7 +341,7 @@ def bound_entanglement_window(
     If neither partition is ever entangled the window is empty.
     """
     if engine is None:
-        engine = make_engine(spec, max_spin_sites=max_spin_sites)
+        engine = make_engine(spec)
     notes = []
     if spec.topology == "star":
         notes.append(

@@ -398,14 +398,15 @@ def _sweep_cells(row) -> tuple:
 def _sweep_grids(exp: Experiment) -> list:
     if exp.temperatures is None:
         raise ConfigError("schedule (t_list, beta_list, or t_range) is required")
+    parts = [exp.partitions_for(spec.n_sites) for spec in exp.specs]
     return [
         analysis.sweep(
             spec,
             exp.temperatures,
-            exp.partitions_for(spec.n_sites),
-            max_spin_sites=exp.max_spin_sites,
+            spec_parts,
+            engine=analysis.make_engine(spec, max_spin_sites=exp.max_spin_sites),
         )
-        for spec in exp.specs
+        for spec, spec_parts in zip(exp.specs, parts)
     ]
 
 
@@ -422,9 +423,10 @@ def cmd_sweep(exp: Experiment, out: str) -> int:
 
 def cmd_threshold(exp: Experiment, out: str) -> int:
     rows, failures, successes = [], 0, 0
-    for spec in exp.specs:
+    parts = [exp.partitions_for(spec.n_sites) for spec in exp.specs]
+    for spec, spec_parts in zip(exp.specs, parts):
         engine = analysis.make_engine(spec, max_spin_sites=exp.max_spin_sites)
-        for part in exp.partitions_for(spec.n_sites):
+        for part in spec_parts:
             try:
                 res = analysis.threshold_temperature(
                     spec, part, tol=exp.tol, engine=engine
@@ -461,7 +463,7 @@ def cmd_window(exp: Experiment, out: str) -> int:
         exp.single("certificate", spec.n_sites),
         exp.single("witness", spec.n_sites),
         tol=exp.tol,
-        max_spin_sites=exp.max_spin_sites,
+        engine=analysis.make_engine(spec, max_spin_sites=exp.max_spin_sites),
     )
     lo, hi = res.window if res.window else ("", "")
     rows = [

@@ -50,19 +50,13 @@ import math
 import numpy as np
 
 from .lattice import PotentialMatrix
+from .partitions import label_signs
 
 __all__ = ["GaussianModel"]
 
 # Eigenvalues of the partially transposed product that exceed 1 by less
 # than this are treated as 1 (pure numerical noise must not contribute).
 _UNIT_CUTOFF = 1e-12
-
-
-def _labels(p) -> np.ndarray:
-    signs = np.asarray(getattr(p, "labels", p), dtype=float)
-    if not np.all(np.abs(signs) == 1.0):
-        raise ValueError("partition labels must be +1 or -1")
-    return signs
 
 
 class GaussianModel:
@@ -146,7 +140,7 @@ class GaussianModel:
 
     def _spectrum(self, temperature: float, partition) -> np.ndarray:
         """Ascending eigenvalues of A A^T, which are those of Q."""
-        signs = _labels(partition)
+        signs = label_signs(partition)
         if signs.shape != (self.n,):
             raise ValueError(
                 f"partition of size {signs.shape} does not match model size {self.n}"

@@ -101,6 +101,19 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _symmetric(entries, dim: int, name: str) -> np.ndarray:
+    """``entries`` as a float array, refused unless it is dim x dim,
+    finite and exactly symmetric, checked in that order."""
+    m = np.asarray(entries, dtype=float)
+    if m.shape != (dim, dim):
+        raise ValueError(f"{name} shape {m.shape} is not {(dim, dim)}")
+    if not np.all(np.isfinite(m)):
+        raise ValueError(f"{name} has non-finite entries")
+    if not np.array_equal(m, m.T):
+        raise ValueError(f"{name} must be exactly symmetric")
+    return m
+
+
 @dataclass(frozen=True)
 class PotentialMatrix:
     """Finite, symmetric positive-definite coupling matrix of a harmonic model.
@@ -115,42 +128,45 @@ class PotentialMatrix:
     spectrum: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        m = self.entries
-        if m.shape != (self.n, self.n):
-            raise ValueError(f"potential matrix shape {m.shape} does not match n={self.n}")
-        if not np.all(np.isfinite(m)):
-            raise ValueError("potential matrix has non-finite entries")
-        if not np.array_equal(m, m.T):
-            raise ValueError("potential matrix must be exactly symmetric")
+        m = _symmetric(self.entries, self.n, "potential matrix")
         lam, u = (np.fft.fft(m[0]).real, None) if _is_circulant(m) else np.linalg.eigh(m)
         lam_min = float(lam.min())
         if not lam_min > 0.0:
             raise ValueError(
                 f"potential matrix must be positive definite; minimum eigenvalue {lam_min}"
             )
-        _frozen(m)
+        object.__setattr__(self, "entries", _frozen(m))
         object.__setattr__(self, "spectrum", (_frozen(lam), u if u is None else _frozen(u)))
 
 
 @dataclass(frozen=True)
 class SpinHamiltonian:
-    """Dense spin-1/2 Hamiltonian together with its interaction graph.
+    """Finite, symmetric dense spin-1/2 Hamiltonian; ``entries`` is read-only.
 
-    The basis convention puts site 1 in the most significant bit of the
-    computational-basis index; bit value 0 means the +1 eigenstate of
-    sigma_z on that site.
+    Site i (0-based) is bit n-1-i of the basis index, as ``site_mask``
+    and ``popcount`` read it, and a set bit is a down spin (the -1
+    eigenstate of sigma_z).
     """
 
     n: int
     entries: np.ndarray
-    edge_list: tuple = field(default_factory=tuple)
 
     def __post_init__(self):
-        if self.entries.shape != (2**self.n, 2**self.n):
-            raise ValueError("spin Hamiltonian dimension does not match site count")
-        if not np.array_equal(self.entries, self.entries.T):
-            raise ValueError("spin Hamiltonian must be exactly symmetric")
-        _frozen(self.entries)
+        m = _symmetric(self.entries, 2**self.n, "spin Hamiltonian")
+        object.__setattr__(self, "entries", _frozen(m))
+
+
+def site_mask(n: int, sites) -> int:
+    """Basis-index bits of the given 0-based sites of an n-site system."""
+    return sum(1 << (n - 1 - int(i)) for i in sites)
+
+
+def popcount(states: np.ndarray) -> np.ndarray:
+    """Number of set bits of each basis index: its down spins."""
+    count = np.zeros_like(states)
+    for k in range(int(states.max()).bit_length()):
+        count += (states >> k) & 1
+    return count
 
 
 def topology_edges(topology: str, n: int) -> list[tuple[int, int]]:
@@ -232,16 +248,11 @@ def build_spin_hamiltonian(
         raise ValueError(
             f"spin model with {n} sites exceeds the configured maximum of {max_sites}"
         )
-    edges = topology_edges(spec.topology, n)
-    dim = 2**n
-    ham = np.zeros((dim, dim))
-    h = spec.h
-    for b in range(dim):
-        bits = [(b >> (n - 1 - i)) & 1 for i in range(n)]
-        if h != 0.0:
-            ham[b, b] += h * sum(1 - 2 * x for x in bits)
-        for (i, j) in edges:
-            if bits[i] != bits[j]:
-                flipped = b ^ (1 << (n - 1 - i)) ^ (1 << (n - 1 - j))
-                ham[flipped, b] += -2.0
-    return SpinHamiltonian(n=n, entries=ham, edge_list=tuple(edges))
+    states = np.arange(2**n)
+    ham = np.zeros((2**n, 2**n))
+    ham[states, states] += spec.h * (n - 2 * popcount(states))
+    for bond in topology_edges(spec.topology, n):
+        mask = site_mask(n, bond)
+        flips = states[popcount(states & mask) == 1]
+        ham[flips ^ mask, flips] += -2.0
+    return SpinHamiltonian(n=n, entries=ham)

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 __all__ = [
     "Partition",
     "boundary_area",
@@ -39,8 +41,7 @@ class Partition:
     def __post_init__(self):
         if not self.labels:
             raise ValueError("partition needs at least one site")
-        if any(s not in (-1, +1) for s in self.labels):
-            raise ValueError("partition labels must be +1 or -1")
+        label_signs(self.labels)
         if len(set(self.labels)) < 2:
             raise ValueError("partition must contain both signs")
 
@@ -52,6 +53,15 @@ class Partition:
     def mask(self) -> str:
         """Serialized form, site 1 leftmost, '+' for the +1 block."""
         return "".join("+" if s > 0 else "-" for s in self.labels)
+
+
+def label_signs(partition) -> np.ndarray:
+    """The labels of a Partition or a raw sequence as floats, each
+    checked to be exactly +1 or -1."""
+    signs = np.asarray(getattr(partition, "labels", partition), dtype=float)
+    if signs.ndim != 1 or not np.all(np.abs(signs) == 1.0):
+        raise ValueError("partition labels must be +1 or -1")
+    return signs
 
 
 def boundary_area(labels, topology: str, n: int) -> int:

@@ -19,6 +19,9 @@ import math
 
 import numpy as np
 
+from .lattice import popcount, site_mask
+from .partitions import label_signs
+
 __all__ = [
     "SpinModel",
     "partial_transpose",
@@ -37,15 +40,6 @@ _GROUND_ATOL = 1e-10
 
 def _sym(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.T)
-
-
-def _ones(dim: int, mask: int) -> np.ndarray:
-    """Number of set bits of ``b & mask`` for every basis index b < dim."""
-    masked = np.arange(dim) & mask
-    count = np.zeros(dim, dtype=np.int64)
-    for k in range(mask.bit_length()):
-        count += (masked >> k) & 1
-    return count
 
 
 def _groups(keys: np.ndarray) -> list:
@@ -77,7 +71,7 @@ class SpinModel:
     def __init__(self, hamiltonian):
         self.n = hamiltonian.n
         ham = np.asarray(hamiltonian.entries)
-        self._sectors = _groups(_ones(ham.shape[0], ham.shape[0] - 1))
+        self._sectors = _groups(popcount(np.arange(ham.shape[0])))
         blocks = _blocks(ham, self._sectors)
         if blocks is None:
             raise ValueError("spin Hamiltonian couples different magnetisation sectors")
@@ -133,20 +127,16 @@ class SpinModel:
         return (e_n, e_n if e_n > 0.0 else -float(spectrum.min()))
 
 
-def _labels(partition):
-    labels = getattr(partition, "labels", partition)
-    if any(s not in (-1, +1) for s in labels):
-        raise ValueError("partition labels must be +1 or -1")
-    return labels
-
-
 def partial_transpose(rho, partition) -> np.ndarray:
     """Transpose the indices of every site labeled +1.
 
     Involutive and trace preserving; on a real symmetric matrix the
     result is again real symmetric.
     """
-    labels = _labels(partition)
+    return _transposed(rho, label_signs(partition))
+
+
+def _transposed(rho, labels: np.ndarray) -> np.ndarray:
     mat = np.asarray(rho)
     n = len(labels)
     dim = mat.shape[0]
@@ -182,15 +172,15 @@ def _pt_spectrum(rho, partition) -> np.ndarray:
 
     A state that conserves the magnetisation has a partial transpose
     that is block diagonal in the charge imbalance q = N_B - N_A, the
-    set bits outside the transposed block minus those inside it
-    (Cornfeld, Goldstein & Sela, PRA 98, 032302 (2018)); the spectrum
-    is then taken block by block.  Any other state, detected from its
-    entries, takes one dense eigensolve.
+    set bits outside the transposed block minus those inside it, that
+    is N - 2 N_A (Cornfeld, Goldstein & Sela, PRA 98, 032302 (2018));
+    the spectrum is then taken block by block.  Any other state,
+    detected from its entries, takes one dense eigensolve.
     """
-    pt = partial_transpose(rho, partition)
-    labels = _labels(partition)
-    dim = pt.shape[0]
-    transposed = sum(1 << (len(labels) - 1 - i) for i, s in enumerate(labels) if s > 0)
-    charge = _ones(dim, (dim - 1) ^ transposed) - _ones(dim, transposed)
+    labels = label_signs(partition)
+    pt = _transposed(rho, labels)
+    states = np.arange(pt.shape[0])
+    transposed = site_mask(len(labels), np.flatnonzero(labels > 0))
+    charge = popcount(states) - 2 * popcount(states & transposed)
     blocks = _blocks(pt, _groups(charge)) or [pt]
     return np.concatenate([np.linalg.eigvalsh(block) for block in blocks])

@@ -11,6 +11,8 @@
 * star hub closed forms at T = 0: the hub entries of V^{1/2} and
   V^{-1/2} in closed form, and the single-mode negativity of their
   product.
+* XX-plus-field Hamiltonian from Kronecker products of Pauli matrices,
+  with its own bond list, for the bit-arithmetic spin builder.
 
 Convention note: each sub-unit eigenvalue in the oracle is the square
 of a symplectic eigenvalue nu of the sign-flipped covariance, so the
@@ -115,3 +117,36 @@ def star_hub_negativity_from_covariance(n: int, c: float) -> float:
     """Hub E_N at T = 0 from the hub entries of the full covariance blocks."""
     x, p = thermal_covariance(build_star_potential(n, c), 0.0)
     return single_mode_negativity(float(x[0, 0] * p[0, 0]))
+
+
+_PAULI = {
+    "x": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
+    "y": np.array([[0.0, -1j], [1j, 0.0]]),
+    "z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
+}
+
+
+def xx_field_hamiltonian(topology: str, n: int, h: float) -> np.ndarray:
+    """-(sigma_x sigma_x + sigma_y sigma_y) on every bond plus h sigma_z
+    on every site, as a sum of Kronecker products.
+
+    Site 1 is the leftmost factor and sigma_z = diag(1, -1).  The ring
+    bonds are (i, i+1) and, for n >= 3, the closing bond (n, 1); the
+    star bonds join site 1 to every other site.
+    """
+
+    def product(factors: dict) -> np.ndarray:
+        out = np.ones((1, 1), dtype=complex)
+        for site in range(n):
+            out = np.kron(out, _PAULI[factors[site]] if site in factors else np.eye(2))
+        return out
+
+    if topology == "ring_nn":
+        bonds = [(i, i + 1) for i in range(n - 1)] + ([(n - 1, 0)] if n >= 3 else [])
+    else:
+        bonds = [(0, j) for j in range(1, n)]
+    ham = sum(h * product({i: "z"}) for i in range(n))
+    for i, j in bonds:
+        ham = ham - product({i: "x", j: "x"}) - product({i: "y", j: "y"})
+    assert not np.any(ham.imag)
+    return ham.real

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from thermaneg import analysis
 from thermaneg.cli import (
     CONFIG_KEYS,
     EXIT_CONFIG,
@@ -322,6 +323,33 @@ class TestConfigHandling:
         err = capsys.readouterr().err
         assert err.startswith("config error: THERMANEG_MAX_SPIN_SITES")
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("command", ["sweep", "threshold", "window", "factor-check"])
+    def test_models_are_built_with_the_run_spin_cap(self, tmp_path, monkeypatch, command):
+        caps = []
+        build = analysis.make_engine
+        monkeypatch.setattr(
+            analysis,
+            "make_engine",
+            lambda spec, max_spin_sites: caps.append(max_spin_sites)
+            or build(spec, max_spin_sites=max_spin_sites),
+        )
+        roles = ["--certificate", "half-half", "--witness", "even-odd"]
+        grid = ["--t-list", "0.5,1", "--families", "even-odd,half-half"]
+        run(tmp_path, command, *SPIN_RING[1:SPIN_RING.index("--t-list")],
+            "--max-spin-sites", "5", *(roles if command == "window" else grid))
+        assert caps == [5]
+
+    @pytest.mark.parametrize("command", ["sweep", "threshold"])
+    def test_config_errors_come_before_any_model_is_built(
+        self, tmp_path, monkeypatch, command
+    ):
+        # n = 6 has no block partitions, and it comes after n = 4
+        built = []
+        monkeypatch.setattr(analysis, "make_engine", lambda *a, **k: built.append(a))
+        code, text = run(tmp_path, command, *RING_PAIR[:4], "--n-list", "4,6",
+                         "--c", "0.4", "--t-list", "0.5", "--families", "blocks:1")
+        assert code == EXIT_CONFIG and text is None and built == []
 
     @pytest.mark.parametrize(
         "schedule",

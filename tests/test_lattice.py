@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import xx_field_hamiltonian
 
 from thermaneg.lattice import (
     ModelSpec,
@@ -11,6 +12,8 @@ from thermaneg.lattice import (
     build_ring_potential,
     build_spin_hamiltonian,
     build_star_potential,
+    popcount,
+    site_mask,
     topology_edges,
 )
 
@@ -173,6 +176,15 @@ class TestPotentialSpectrum:
             PotentialMatrix(n=n, entries=m)
 
 
+    def test_nested_list_entries_are_converted(self):
+        v = PotentialMatrix(n=2, entries=[[1, 0], [0, 1]])
+        assert v.entries.dtype == np.float64 and np.array_equal(v.entries, np.eye(2))
+        with pytest.raises(ValueError):
+            v.entries[0, 0] = 2.0
+        with pytest.raises(ValueError, match="shape"):
+            PotentialMatrix(n=2, entries=[1, 0])
+
+
 class TestBuildPotential:
     def test_dispatches_on_topology(self):
         ring = build_potential(ModelSpec(kind="harmonic", topology="ring_nn", n_sites=6, c=0.2))
@@ -190,7 +202,6 @@ class TestSpinHamiltonian:
         ham = build_spin_hamiltonian(
             ModelSpec(kind="spin_half", topology="ring_nn", n_sites=2)
         )
-        assert ham.edge_list == ((0, 1),)
         assert np.allclose(np.linalg.eigvalsh(ham.entries), [-2.0, 0.0, 0.0, 2.0])
 
     def test_two_site_matrix_with_field(self):
@@ -263,3 +274,35 @@ class TestSpinHamiltonian:
         ham = build_spin_hamiltonian(ModelSpec(kind="spin_half", topology="ring_nn", n_sites=2))
         with pytest.raises(ValueError):
             ham.entries[0, 0] = 1.0
+
+    def test_nested_list_entries_are_converted(self):
+        ham = SpinHamiltonian(n=1, entries=[[1, 0], [0, -1]])
+        assert ham.entries.dtype == np.float64
+        assert np.array_equal(ham.entries, np.diag([1.0, -1.0]))
+        with pytest.raises(ValueError):
+            ham.entries[0, 0] = 2.0
+        with pytest.raises(ValueError, match="shape"):
+            SpinHamiltonian(n=1, entries=[1, 0, 0, -1])
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entries_refused(self, value):
+        # placed symmetrically, so only the finiteness check can name it
+        entries = np.zeros((4, 4))
+        entries[1, 2] = entries[2, 1] = value
+        with pytest.raises(ValueError, match="non-finite entries"):
+            SpinHamiltonian(n=2, entries=entries)
+
+    def test_site_to_bit_convention(self):
+        # site 1 is the most significant bit; a set bit is a down spin
+        assert site_mask(3, [0]) == 0b100 and site_mask(3, (0, 2)) == 0b101
+        assert popcount(np.arange(8)).tolist() == [0, 1, 1, 2, 1, 2, 2, 3]
+        assert popcount(np.arange(8) & 0b101).tolist() == [0, 1, 0, 1, 1, 2, 1, 2]
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("topology", ["ring_nn", "star"])
+    def test_matches_the_kronecker_oracle(self, topology, n):
+        for h in (0.0, 0.7, -1.3):
+            spec = ModelSpec(kind="spin_half", topology=topology, n_sites=n, h=h)
+            gap = np.max(np.abs(build_spin_hamiltonian(spec).entries
+                                - xx_field_hamiltonian(topology, n, h)))
+            assert gap <= 1e-12, h

@@ -1,3 +1,6 @@
+import math
+
+import numpy as np
 import pytest
 
 from thermaneg.partitions import (
@@ -8,6 +11,7 @@ from thermaneg.partitions import (
     even_odd,
     from_mask,
     half_half,
+    label_signs,
     single_external_vs_rest,
     transfer_sweep,
 )
@@ -23,6 +27,14 @@ class TestPartitionType:
             Partition(labels=(1, 0, -1), area=1, id="bad")
         with pytest.raises(ValueError):
             Partition(labels=(), area=0, id="empty")
+
+    def test_label_signs_of_partitions_and_raw_sequences(self):
+        p = Partition(labels=(1, -1, -1), area=2, id="x")
+        assert label_signs(p).tolist() == [1.0, -1.0, -1.0]
+        assert label_signs([1.0, -1, 1]).dtype == np.float64
+        for bad in ([1, 0, -1], [1, 2], [1, math.nan], 1, [[1, -1]]):
+            with pytest.raises(ValueError, match="partition labels must be \\+1 or -1"):
+                label_signs(bad)
 
     def test_mask_serialization(self):
         p = Partition(labels=(1, -1, -1, 1), area=2, id="x")

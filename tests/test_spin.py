@@ -13,6 +13,7 @@ from thermaneg.partitions import (
     even_odd,
     from_mask,
     half_half,
+    label_signs,
     single_external_vs_rest,
     transfer_sweep,
 )
@@ -205,6 +206,18 @@ class TestPartialTranspose:
         ):
             with pytest.raises(ValueError, match="partition labels must be"):
                 call()
+
+
+    def test_labels_are_checked_once_per_cell(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            "thermaneg.spin.label_signs", lambda p: calls.append(p) or label_signs(p)
+        )
+        model = SpinModel(ring(4))
+        for cell in (model.negativity_pair, model.ppt_margin):
+            calls.clear()
+            cell(0.5, half_half(4))
+            assert len(calls) == 1
 
 
 class TestNegativity:
