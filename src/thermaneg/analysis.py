@@ -57,13 +57,9 @@ _DEFAULT_BRACKET = (0.01, 20.0)
 
 @dataclass(frozen=True)
 class SweepRow:
-    """One (temperature, partition) cell of a negativity sweep."""
+    """One (temperature, partition) cell of a negativity sweep; the
+    model is its grid's ``spec``."""
 
-    kind: str
-    topology: str
-    n: int
-    c: float
-    h: float
     temperature: float
     beta: float
     partition_id: str
@@ -218,6 +214,16 @@ def _root(probe, ts, scan, tol: float):
     return lo, hi, warning
 
 
+def _check_search(lo: float, hi: float, tol: float) -> None:
+    """Refuse what would break a root bracket's contract: a tolerance
+    that is not positive, a range that is not finite with lo < hi."""
+    if not (tol > 0.0 and math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ValueError(
+            f"root search needs tol > 0 and a finite range with lo < hi, "
+            f"got tol={tol}, range=({lo}, {hi})"
+        )
+
+
 def _beta_of(temperature: float) -> float:
     return math.inf if temperature == 0.0 else 1.0 / temperature
 
@@ -246,11 +252,6 @@ def sweep(spec: ModelSpec, temperatures, partitions, engine=None) -> SweepGrid:
         except Exception as exc:  # recorded per cell, grid continues
             error = f"{type(exc).__name__}: {exc}"
         return SweepRow(
-            kind=spec.kind,
-            topology=spec.topology,
-            n=spec.n_sites,
-            c=spec.c,
-            h=spec.h,
             temperature=t,
             beta=_beta_of(t),
             partition_id=part.id,
@@ -282,8 +283,11 @@ def threshold_temperature(
     below ``tol`` (see ``_root``).  The partition must be entangled at
     ``t_lo`` and PPT at ``t_hi``; each failure mode gets its own
     message.  Should the scan see several sign changes, the largest-T
-    one is refined and a warning is attached.
+    one is refined and a warning is attached.  A ``tol`` that is not
+    positive, or a bracket that is not finite with t_lo < t_hi, raises
+    ValueError.
     """
+    _check_search(t_lo, t_hi, tol)
     if engine is None:
         engine = make_engine(spec)
     evaluations = 0
@@ -494,10 +498,12 @@ def star_external_crossing(
     of ``t_range`` for a positive-to-negative sign change, and the
     largest-T one is narrowed to ``tol`` by secant steps on that
     difference (see ``_root``).  No such change, or only changes of the
-    opposite orientation, raise CrossingError.
+    opposite orientation, raise CrossingError; ``tol`` and ``t_range``
+    are checked as in ``threshold_temperature``.
     """
     if n_a == n_b:
         raise ValueError("crossing needs two different system sizes")
+    _check_search(t_range[0], t_range[1], tol)
     n_small, n_large = sorted((int(n_a), int(n_b)))
     engines = {}
     parts = {}

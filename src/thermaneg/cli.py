@@ -6,8 +6,8 @@ Config files are flat INI text (section headers in brackets, key =
 value lines); every key can also be given as a command-line flag,
 which overrides the file.  CONFIG_KEYS lists each key once.  Floats are printed with 12 significant
 digits, rows follow a fixed order, and line endings are LF.  Every grid
-is evaluated on one thread in that order (``run.jobs`` is accepted and
-ignored), so a given config and build produce byte-identical output.
+is evaluated on one thread in that order, so a given config and build
+produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -70,8 +70,7 @@ PRESETS = {
         "c": 0.4,
         "h": 0.0,
         "beta_list": (2.5, 2.4, 2.0),
-        "families": ("blocks",),
-        "blocks_nb": (1, 2, 3, 4, 5, 6, 7),
+        "families": tuple(f"blocks:{k}" for k in range(1, 8)),
         "description": "block-partition log-negativity of the 128-site harmonic ring",
     },
     "fig3": {
@@ -140,7 +139,6 @@ PRESETS = {
         "h": 0.0,
         "t_range": (0.5, 4.0, 50),
         "families": ("external",),
-        "external_sites": (2,),
         "description": "single-external-site negativity curves of the spin star",
     },
 }
@@ -198,13 +196,10 @@ CONFIG_KEYS = {
     "beta_list": ("schedule", _floats, None),
     "t_range": ("schedule", _floats, None),
     "families": ("partitions", _words, ()),
-    "blocks_nb": ("partitions", _ints, None),
-    "external_sites": ("partitions", _ints, (2,)),
     "transfer_order": ("partitions", str, "forward"),
     "certificate": ("partitions", str, None),
     "witness": ("partitions", str, None),
     "out": ("run", str, None),
-    "jobs": ("run", int, 1),
     "tol": ("run", float, 1e-6),
     "max_spin_sites": ("run", int, None),
 }
@@ -264,8 +259,6 @@ class Experiment:
                 f"partitions.transfer_order must be 'forward' or 'reversed', "
                 f"got {self.transfer_order!r}"
             )
-        if self.jobs < 1:
-            raise ConfigError(f"run.jobs must be at least 1, got {self.jobs}")
         if not self.tol > 0:
             raise ConfigError(f"run.tol must be positive, got {self.tol}")
         if self.max_spin_sites is None:
@@ -298,7 +291,10 @@ class Experiment:
                 raise ConfigError(
                     "schedule.t_range: expected finite 'lo,hi,count' with count >= 2"
                 )
-            temps = tuple(float(t) for t in np.linspace(vals[0], vals[1], int(vals[2])))
+            try:
+                temps = tuple(float(t) for t in np.linspace(vals[0], vals[1], int(vals[2])))
+            except ValueError as exc:  # a count numpy cannot allocate
+                raise ConfigError(f"schedule.t_range: {exc}")
         if temps is not None and len(set(temps)) != len(temps):
             raise ConfigError(f"schedule: temperatures must be distinct, got {list(temps)}")
         if temps is not None and any(t < 0.0 for t in temps):
@@ -310,7 +306,7 @@ class Experiment:
             spec = ModelSpec(
                 kind=self.kind, topology=self.topology, n_sites=n, c=self.c, h=self.h
             )
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:  # OverflowError: n beyond any float
             raise ConfigError(f"model: {exc}")
         if spec.kind == "spin_half" and n > self.max_spin_sites:
             raise ConfigError(
@@ -321,8 +317,7 @@ class Experiment:
 
     def partitions(self, token: str, n: int) -> list:
         """The partitions one token names: even-odd, half-half, central,
-        transfer, external[:site] or blocks[:k].  A bare 'external' or
-        'blocks' stands for every entry of external_sites or blocks_nb."""
+        transfer, external[:site] (site 2 when bare) or blocks:k."""
         name, _, arg = token.partition(":")
         topo = self.topology
         try:
@@ -336,18 +331,14 @@ class Experiment:
                 fam = transfer_sweep(n, topo)
                 return fam[::-1] if self.transfer_order == "reversed" else fam
             if name == "external":
-                sites = (int(arg),) if arg else self.external_sites
-                return [single_external_vs_rest(n, s, topo) for s in sites]
-            if name == "blocks":
-                nbs = (int(arg),) if arg else self.blocks_nb
-                if nbs is None:
-                    raise ConfigError("partitions.blocks_nb is required for a bare 'blocks'")
-                return [alternating_blocks(_exponent_of(n), nb, topo) for nb in nbs]
+                return [single_external_vs_rest(n, int(arg) if arg else 2, topo)]
+            if name == "blocks" and arg:
+                return [alternating_blocks(_exponent_of(n), int(arg), topo)]
         except ValueError as exc:
             raise ConfigError(f"partition {token!r}: {exc}")
         raise ConfigError(
             f"unknown partition name {token!r}; expected even-odd, half-half, "
-            f"central, transfer, external[:site], or blocks[:k]"
+            f"central, transfer, external[:site], or blocks:k"
         )
 
     def partitions_for(self, n: int) -> list:
@@ -546,10 +537,10 @@ COMMANDS = {
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse variant whose usage errors exit with the config code."""
+    """argparse variant whose usage errors exit with the config code,
+    on one line."""
 
     def error(self, message):
-        self.print_usage(sys.stderr)
         sys.stderr.write(f"{self.prog}: error: {message}\n")
         raise SystemExit(EXIT_CONFIG)
 
@@ -579,7 +570,6 @@ def main(argv=None) -> int:
     rep = subs.add_parser("reproduce", help="run a stored figure preset")
     rep.add_argument("figure", help=f"one of: {', '.join(sorted(PRESETS))}")
     rep.add_argument(_flag("out"), help="output CSV path (default <figure>.csv)")
-    rep.add_argument(_flag("jobs"))
 
     args = parser.parse_args(argv)
     try:

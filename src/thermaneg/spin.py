@@ -34,7 +34,7 @@ __all__ = [
 # block at 12 sites (924 states), 9e-13 for a dense solve at 2^12.
 NEGATIVE_EIGENVALUE_CUTOFF = -1e-12
 # Eigenstates within this of the minimum energy belong to the ground
-# space when forming the T = 0 state.
+# space, and share its Boltzmann weight at every temperature.
 _GROUND_ATOL = 1e-10
 
 
@@ -76,20 +76,26 @@ class SpinModel:
         if blocks is None:
             raise ValueError("spin Hamiltonian couples different magnetisation sectors")
         pairs = [np.linalg.eigh(block) for block in blocks]
-        self._evals = np.concatenate([evals for evals, _ in pairs])
+        energies = np.concatenate([evals for evals, _ in pairs])
+        shifted = energies - energies.min()
+        # Energies above the ground space, 0 on it, so that T -> 0
+        # meets the T = 0 state even where rounding splits the ground
+        # energies
+        self._excitations = np.where(shifted <= _GROUND_ATOL, 0.0, shifted)
         self._evecs = [evecs for _, evecs in pairs]
         self._last = None
 
     def _weights(self, temperature: float) -> np.ndarray:
-        """Boltzmann weights relative to the minimum energy, so that no
-        exponential ever overflows."""
+        """Boltzmann weights relative to the ground energy, so that no
+        exponential ever overflows; exp(-inf) = 0 where the ratio
+        overflows at the smallest temperatures."""
         if not temperature >= 0.0:
             raise ValueError(f"temperature must be nonnegative, got {temperature}")
-        shifted = self._evals - self._evals.min()
         if temperature == 0.0:
-            w = (shifted <= _GROUND_ATOL).astype(float)
+            w = (self._excitations == 0.0).astype(float)
         else:
-            w = np.exp(-shifted / temperature)
+            with np.errstate(over="ignore"):
+                w = np.exp(-self._excitations / temperature)
         return w / w.sum()
 
     def thermal_rho(self, temperature: float) -> np.ndarray:

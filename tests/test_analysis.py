@@ -144,6 +144,21 @@ class TestThreshold:
         with pytest.raises(ThresholdError, match="still entangled at T_hi"):
             threshold_temperature(RING, even_odd(8), t_hi=0.3)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(tol=math.nan),
+            dict(tol=0.0),
+            dict(tol=-1e-6),
+            dict(t_hi=math.inf),
+            dict(t_lo=math.nan),
+            dict(t_lo=2.0, t_hi=1.0),
+        ],
+    )
+    def test_search_settings_that_break_the_bracket_refused(self, kwargs):
+        with pytest.raises(ValueError, match="root search needs tol > 0"):
+            threshold_temperature(RING, even_odd(8), **kwargs)
+
     def test_tolerance_controls_the_bracket(self):
         res = threshold_temperature(RING, even_odd(8), tol=1e-3)
         assert res.bracket[1] - res.bracket[0] <= 1e-3
@@ -317,11 +332,6 @@ def synthetic_grid(e_n_table, temps, pids):
             e_n = e_n_table[i][j]
             rows.append(
                 SweepRow(
-                    kind=spec.kind,
-                    topology=spec.topology,
-                    n=spec.n_sites,
-                    c=spec.c,
-                    h=spec.h,
                     temperature=t,
                     beta=1.0 / t,
                     partition_id=pid,
@@ -404,6 +414,14 @@ class TestExternalCrossing:
     def test_identical_sizes_rejected(self):
         with pytest.raises(ValueError):
             star_external_crossing(6, 6, h=0.0)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [dict(tol=math.nan), dict(t_range=(1.5, math.inf)), dict(t_range=(3.0, 1.5))],
+    )
+    def test_search_settings_that_break_the_bracket_refused(self, kwargs):
+        with pytest.raises(ValueError, match="root search needs tol > 0"):
+            star_external_crossing(4, 6, h=0.0, **kwargs)
 
     def test_missing_crossing_raises(self):
         with pytest.raises(CrossingError):

@@ -50,17 +50,17 @@ STAR_MODEL = ["sweep", "--kind", "harmonic", "--topology", "star", "--n", "4"]
 RING_PAIR = ["--kind", "harmonic", "--topology", "ring_nn", "--n-list", "8,8", "--c", "0.4"]
 
 # Repeated or negative temperatures, repeated partitions or sizes, an
-# empty size list, non-finite couplings and models too large to
-# allocate (a 2 PiB dense spin Hamiltonian, a 182 TiB ring potential;
-# both exceed a 47-bit address space, so they fail at once): each is a
-# config error, on one line.
+# empty size list, non-finite couplings, couplings that overflow a
+# matrix entry, a t_range count too large for numpy, a bare 'blocks',
+# and models too large to allocate (a 2 PiB dense spin Hamiltonian, a
+# 182 TiB ring potential; both exceed a 47-bit address space, so they
+# fail at once): each is a config error, on one line.
 REJECTED_INPUTS = [
     RING_MODEL + ["--t-list", "0.5,0.5", "--families", "even-odd"],
     RING_MODEL + ["--t-range", "1,1,5", "--families", "even-odd"],
     RING_MODEL + ["--beta-list", "2,2", "--families", "even-odd"],
     RING_MODEL + ["--t-list", "1", "--families", "even-odd,even-odd"],
-    STAR_MODEL + ["--c", "1", "--t-list", "1", "--families", "external",
-                  "--external-sites", "2,2"],
+    STAR_MODEL + ["--c", "1", "--t-list", "1", "--families", "external,external:2"],
     ["factor-check"] + RING_MODEL[1:] + ["--t-list", "0.3,0.3", "--families", "even-odd"],
     STAR_MODEL + ["--c", "nan", "--t-list", "1", "--families", "central"],
     STAR_MODEL + ["--c", "inf", "--t-list", "1", "--families", "central"],
@@ -82,6 +82,12 @@ REJECTED_INPUTS = [
     RING_MODEL + ["--t-list=-0.5,0.5", "--families", "even-odd"],
     RING_MODEL + ["--t-range", "1,-1,3", "--families", "even-odd"],
     ["factor-check"] + RING_MODEL[1:] + ["--t-list=-0.5,0.5", "--families", "even-odd"],
+    ["sweep", "--kind", "harmonic", "--topology", "star", "--n", "3", "--c", "1e308",
+     "--t-list", "0.5", "--families", "central"],
+    ["sweep", "--kind", "spin_half", "--topology", "star", "--n", "4", "--h", "1e308",
+     "--t-list", "0.5", "--families", "central"],
+    RING_MODEL + ["--t-range", "1,2,1e30", "--families", "even-odd"],
+    RING_MODEL + ["--t-list", "1", "--families", "blocks"],
 ]
 
 
@@ -247,8 +253,8 @@ class TestConfigHandling:
             ["sweep", "--kind", "harmonic", "--topology", "ring_nn", "--n", "8",
              "--c", "0.4", "--t-range", "1,2", "--families", "even-odd"],
             ["sweep", "--kind", "harmonic", "--topology", "ring_nn", "--n", "9",
-             "--c", "0.4", "--t-list", "1", "--families", "blocks",
-             "--blocks-nb", "1"],  # blocks need a power of two
+             "--c", "0.4", "--t-list", "1",
+             "--families", "blocks:1"],  # blocks need a power of two
         ] + REJECTED_INPUTS,
     )
     def test_config_errors_exit_one(self, tmp_path, args):
@@ -293,6 +299,36 @@ class TestConfigHandling:
         with pytest.raises(SystemExit) as exc:
             main(["sweep", "--no-such-flag"])
         assert exc.value.code == EXIT_CONFIG
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["reproduce", "fig5", "--jobs", "4"],
+            RING_ARGS + ["--jobs", "1"],
+            RING_MODEL + ["--t-list", "1", "--families", "blocks", "--blocks-nb", "1"],
+            STAR_MODEL + ["--c", "1", "--t-list", "1", "--families", "external",
+                          "--external-sites", "3"],
+        ],
+    )
+    def test_removed_flags_are_refused_on_one_line(self, capsys, args):
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --" in err and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "key", ["run.jobs", "partitions.blocks_nb", "partitions.external_sites"]
+    )
+    def test_removed_config_keys_are_refused_on_one_line(self, tmp_path, capsys, key):
+        section, name = key.split(".")
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(f"[{section}]\n{name} = 1\n")
+        code, text = run(tmp_path, *RING_ARGS, "--config", str(cfg))
+        assert code == EXIT_CONFIG and text is None
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: unknown key {key};")
+        assert len(err.splitlines()) == 1
 
     def test_spin_cap_from_environment(self, tmp_path, monkeypatch):
         spin = [
@@ -466,8 +502,7 @@ class TestFactorCheckCommand:
             "--n", "16",
             "--c", "0.4",
             "--t-list", "0.3,0.4,0.5",
-            "--families", "blocks",
-            "--blocks-nb", "1,2,3,4",
+            "--families", "blocks:1,blocks:2,blocks:3,blocks:4",
         )
         assert code == EXIT_OK
         lines = text.splitlines()
@@ -510,8 +545,8 @@ class TestReproduce:
 
     def test_runs_are_identical_across_parallelism(self, tmp_path):
         out1, out4 = tmp_path / "j1.csv", tmp_path / "j4.csv"
-        assert main(["reproduce", "fig5", "--out", str(out1), "--jobs", "1"]) == EXIT_OK
-        assert main(["reproduce", "fig5", "--out", str(out4), "--jobs", "4"]) == EXIT_OK
+        assert main(["reproduce", "fig5", "--out", str(out1)]) == EXIT_OK
+        assert main(["reproduce", "fig5", "--out", str(out4)]) == EXIT_OK
         assert out1.read_bytes() == out4.read_bytes()
 
     @pytest.mark.parametrize("figure", ["fig5", "fig4-inset"])

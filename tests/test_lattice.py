@@ -24,6 +24,11 @@ class TestModelSpec:
         ModelSpec(kind="harmonic", topology="star", n_sites=4, c=2.0)
         ModelSpec(kind="spin_half", topology="ring_nn", n_sites=10, h=1.9)
         ModelSpec(kind="spin_half", topology="star", n_sites=1)
+        # the largest entries, a star hub's 1 + (n-1)c and a spin
+        # diagonal's n h, are finite
+        ModelSpec(kind="harmonic", topology="star", n_sites=2, c=1e308)
+        ModelSpec(kind="spin_half", topology="star", n_sites=1, h=1e308)
+        ModelSpec(kind="spin_half", topology="ring_nn", n_sites=4, c=1e308)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -35,6 +40,9 @@ class TestModelSpec:
             dict(kind="harmonic", topology="ring_nn", n_sites=4, c=-0.1),
             dict(kind="harmonic", topology="star", n_sites=4, c=0.0),
             dict(kind="harmonic", topology="star", n_sites=4, c=-1.0),
+            dict(kind="harmonic", topology="star", n_sites=3, c=1e308),  # hub overflows
+            dict(kind="spin_half", topology="star", n_sites=4, h=1e308),  # n h overflows
+            dict(kind="spin_half", topology="ring_nn", n_sites=2, h=-1e308),
         ],
     )
     def test_invalid_specs_rejected(self, kwargs):
@@ -249,6 +257,22 @@ class TestSpinHamiltonian:
             SpinHamiltonian(n=2, entries=entries)
         entries[2, 1] = -2.0
         SpinHamiltonian(n=2, entries=entries)
+
+    @pytest.mark.parametrize("n", [1, 6, 7, 8])
+    def test_symmetry_check_finds_any_one_asymmetric_entry(self, n):
+        # the check compares row and column slabs of 64; every entry of
+        # the 2^n x 2^n matrix, across slab edges too, must be seen
+        dim = 2**n
+        base = build_spin_hamiltonian(
+            ModelSpec(kind="spin_half", topology="ring_nn", n_sites=n, h=0.7)
+        ).entries
+        cells = {(0, dim - 1), (dim - 1, 0), (dim - 1, dim - 2)}
+        cells |= {(i, j) for i in range(0, dim, 37) for j in range(0, dim, 29) if i != j}
+        for i, j in sorted(cells):
+            entries = base.copy()
+            entries[i, j] += 0.25
+            with pytest.raises(ValueError, match="must be exactly symmetric"):
+                SpinHamiltonian(n=n, entries=entries)
 
     def test_field_term_counts_spins(self):
         # the all-up state |000> sits at +3h, the all-down state at -3h

@@ -109,6 +109,23 @@ class TestThermalState:
         assert len(nonzero) == degeneracy
         assert np.allclose(nonzero, 1.0 / degeneracy, atol=1e-12)
 
+    @pytest.mark.parametrize(
+        "topology, mask", [("ring_nn", "++---"), ("ring_nn", "+++----"), ("star", "+--"),
+                           ("star", "+----")],
+    )
+    def test_degenerate_ground_space_is_kept_whole_as_t_falls_to_zero(self, topology, mask):
+        # rounding splits these ground energies by ~1e-15; a Gibbs state
+        # that resolves the split keeps one ground state and jumps away
+        # from the T = 0 mixture (ring 0.9504 against 0.5469)
+        ham = build_spin_hamiltonian(
+            ModelSpec(kind="spin_half", topology=topology, n_sites=len(mask))
+        )
+        model = SpinModel(ham)
+        part = from_mask(mask, topology)
+        at_zero = model.negativity_pair(0.0, part)[0]
+        for t in (1e-320, 1e-300, 1e-16, 1e-12, 1e-3):
+            assert model.negativity_pair(t, part)[0] == pytest.approx(at_zero, abs=1e-10)
+
     def test_boltzmann_ratios(self):
         # two-site populations must follow exp(-(E - E0)/T)
         t = 1.3
