@@ -43,6 +43,6 @@ from .partitions import (
     single_external_vs_rest,
     transfer_sweep,
 )
-from .spin import SpinModel, negativity, partial_transpose
+from .spin import SpinModel, SpinStarModel, negativity, partial_transpose
 
 __version__ = "0.1.0"

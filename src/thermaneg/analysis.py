@@ -23,9 +23,10 @@ from .lattice import (
     ModelSpec,
     build_potential,
     build_spin_hamiltonian,
+    check_spin_sites,
 )
 from .partitions import single_external_vs_rest
-from .spin import SpinModel
+from .spin import SpinModel, SpinStarModel
 
 __all__ = [
     "EPS_PPT",
@@ -147,9 +148,15 @@ class CrossingError(RuntimeError):
 
 
 def make_engine(spec: ModelSpec, max_spin_sites: int = MAX_SPIN_SITES_DEFAULT):
-    """Negativity engine for a model: Gaussian or dense spin."""
+    """Negativity engine for a model: Gaussian, the collective-spin
+    route for a spin star, or the dense spin engine for a spin ring.
+    Spin models of more than ``max_spin_sites`` sites are refused on
+    either topology."""
     if spec.kind == "harmonic":
         return GaussianModel(build_potential(spec))
+    if spec.topology == "star":
+        check_spin_sites(spec.n_sites, max_spin_sites)
+        return SpinStarModel(spec.n_sites, spec.h)
     return SpinModel(build_spin_hamiltonian(spec, max_sites=max_spin_sites))
 
 
@@ -453,18 +460,20 @@ def type2_gap_table(
     t_lo: float = _DEFAULT_BRACKET[0],
     t_hi: float = _DEFAULT_BRACKET[1],
     tol: float = 1e-4,
-    max_spin_sites: int = MAX_SPIN_SITES_DEFAULT,
+    engine_for=None,
 ) -> GapTable:
     """Threshold gap t_witness - t_certificate across system sizes.
 
     ``model_factory``, ``certificate_factory`` and ``witness_factory``
-    map a size n to the model and the two partitions.  The deviation
+    map a size n to the model and the two partitions, and
+    ``engine_for`` maps the model to its engine (``make_engine`` when
+    not given).  The deviation
     statistic quantifies how constant the gap stays over ``n_list``.
     """
     rows = []
     for n in n_list:
         spec = model_factory(int(n))
-        engine = make_engine(spec, max_spin_sites=max_spin_sites)
+        engine = (engine_for or make_engine)(spec)
         t_cert = threshold_temperature(
             spec, certificate_factory(int(n)), t_lo=t_lo, t_hi=t_hi, tol=tol, engine=engine
         ).t_threshold

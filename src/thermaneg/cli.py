@@ -269,6 +269,15 @@ class Experiment:
                 raise ConfigError(f"THERMANEG_MAX_SPIN_SITES: {exc}")
         self.specs = tuple(self._model(n) for n in self.n_list)
 
+    def engine(self, spec: ModelSpec):
+        """The model's engine; a model the engine refuses (a harmonic
+        star V that rounding leaves not positive definite, say) is a
+        config error."""
+        try:
+            return analysis.make_engine(spec, max_spin_sites=self.max_spin_sites)
+        except ValueError as exc:
+            raise ConfigError(f"model: {exc}")
+
     def _temperatures(self):
         given = [k for k in ("t_list", "beta_list", "t_range") if getattr(self, k) is not None]
         if len(given) > 1:
@@ -306,12 +315,28 @@ class Experiment:
             spec = ModelSpec(
                 kind=self.kind, topology=self.topology, n_sites=n, c=self.c, h=self.h
             )
-        except (ValueError, OverflowError) as exc:  # OverflowError: n beyond any float
+        except OverflowError:  # the largest matrix entry, from an n beyond any float
+            raise ConfigError(f"model.n={n} is too large: beyond any float")
+        except ValueError as exc:
             raise ConfigError(f"model: {exc}")
         if spec.kind == "spin_half" and n > self.max_spin_sites:
             raise ConfigError(
                 f"model.n={n} exceeds run.max_spin_sites={self.max_spin_sites} "
                 f"(override with THERMANEG_MAX_SPIN_SITES or run.max_spin_sites)"
+            )
+        # log2 of the bytes of the engine's largest array: V (n x n), a
+        # spin ring's H (2^n x 2^n), or a spin star's top block (at
+        # least 2n x 2n for any partition); checked before any O(n)
+        # partition list is built
+        if spec.kind == "spin_half" and spec.topology == "ring_nn":
+            log2_bytes = 3 + 2 * n
+        else:
+            log2_bytes = 3 + 2 * math.log2(2 * n if spec.kind == "spin_half" else n)
+        memory = _memory_bytes()
+        if log2_bytes > math.log2(memory):
+            raise ConfigError(
+                f"model.n={n} is too large: its engine needs a 2^{log2_bytes:.1f}-byte "
+                f"array, more than the {memory / 2**30:.1f} GiB of memory"
             )
         return spec
 
@@ -361,6 +386,14 @@ class Experiment:
         return parts[0]
 
 
+def _memory_bytes() -> int:
+    """Physical memory, or the address space where the system does not say."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return sys.maxsize
+
+
 def _exponent_of(n: int) -> int:
     exp = n.bit_length() - 1
     if 2**exp != n:
@@ -395,7 +428,7 @@ def _sweep_grids(exp: Experiment) -> list:
             spec,
             exp.temperatures,
             spec_parts,
-            engine=analysis.make_engine(spec, max_spin_sites=exp.max_spin_sites),
+            engine=exp.engine(spec),
         )
         for spec, spec_parts in zip(exp.specs, parts)
     ]
@@ -416,7 +449,7 @@ def cmd_threshold(exp: Experiment, out: str) -> int:
     rows, failures, successes = [], 0, 0
     parts = [exp.partitions_for(spec.n_sites) for spec in exp.specs]
     for spec, spec_parts in zip(exp.specs, parts):
-        engine = analysis.make_engine(spec, max_spin_sites=exp.max_spin_sites)
+        engine = exp.engine(spec)
         for part in spec_parts:
             try:
                 res = analysis.threshold_temperature(
@@ -454,7 +487,7 @@ def cmd_window(exp: Experiment, out: str) -> int:
         exp.single("certificate", spec.n_sites),
         exp.single("witness", spec.n_sites),
         tol=exp.tol,
-        engine=analysis.make_engine(spec, max_spin_sites=exp.max_spin_sites),
+        engine=exp.engine(spec),
     )
     lo, hi = res.window if res.window else ("", "")
     rows = [
@@ -485,7 +518,7 @@ def cmd_scaling(exp: Experiment, out: str) -> int:
         lambda n: exp.single("certificate", n),
         lambda n: exp.single("witness", n),
         tol=exp.tol,
-        max_spin_sites=exp.max_spin_sites,
+        engine_for=exp.engine,
     )
     rows = [
         (

@@ -242,6 +242,14 @@ def build_potential(spec: ModelSpec) -> PotentialMatrix:
     return build_star_potential(spec.n_sites, spec.c)
 
 
+def check_spin_sites(n: int, max_sites: int) -> None:
+    """Refuse a spin model of more than ``max_sites`` sites."""
+    if n > max_sites:
+        raise ValueError(
+            f"spin model with {n} sites exceeds the configured maximum of {max_sites}"
+        )
+
+
 def build_spin_hamiltonian(
     spec: ModelSpec, max_sites: int = MAX_SPIN_SITES_DEFAULT
 ) -> SpinHamiltonian:
@@ -258,10 +266,7 @@ def build_spin_hamiltonian(
     if spec.kind != "spin_half":
         raise ValueError(f"expected a spin model, got kind={spec.kind!r}")
     n = spec.n_sites
-    if n > max_sites:
-        raise ValueError(
-            f"spin model with {n} sites exceeds the configured maximum of {max_sites}"
-        )
+    check_spin_sites(n, max_sites)
     states = np.arange(2**n)
     ham = np.zeros((2**n, 2**n))
     ham[states, states] += spec.h * (n - 2 * popcount(states))

@@ -7,6 +7,11 @@ eigensolver applies throughout.  The Hamiltonians conserve the
 magnetisation, so the eigensolves run per magnetisation sector, and
 those of the partial transpose per charge-imbalance block.
 
+The XX star with field takes a second route, ``SpinStarModel``, which
+never forms a 2^n matrix: its outer sites couple to the hub only
+through their total spin, so the state splits into small collective-spin
+blocks (see the class docstring).
+
 E_N sums the absolute values of the negative eigenvalues of the
 partially transposed state and E_l = log2(1 + E_N).  See the module
 docstring of :mod:`thermaneg.gaussian` for how this scale relates to
@@ -24,6 +29,7 @@ from .partitions import label_signs
 
 __all__ = [
     "SpinModel",
+    "SpinStarModel",
     "partial_transpose",
     "negativity",
 ]
@@ -45,6 +51,26 @@ def _sym(m: np.ndarray) -> np.ndarray:
 def _groups(keys: np.ndarray) -> list:
     """Basis indices grouped by key, in ascending key then index order."""
     return [np.flatnonzero(keys == k) for k in np.unique(keys)]
+
+
+def _excitations(energies: np.ndarray, ground: float) -> np.ndarray:
+    """Energies above the ground space, 0 on it, so that T -> 0 meets
+    the T = 0 state even where rounding splits the ground energies."""
+    shifted = energies - ground
+    return np.where(shifted <= _GROUND_ATOL, 0.0, shifted)
+
+
+def _boltzmann(excitations: np.ndarray, temperature: float) -> np.ndarray:
+    """Unnormalized Boltzmann weights of energies above the ground
+    space, so that no exponential ever overflows; exp(-inf) = 0 where
+    the ratio overflows at the smallest temperatures.  T = 0 weighs the
+    ground space alone."""
+    if not temperature >= 0.0:
+        raise ValueError(f"temperature must be nonnegative, got {temperature}")
+    if temperature == 0.0:
+        return (excitations == 0.0).astype(float)
+    with np.errstate(over="ignore"):
+        return np.exp(-excitations / temperature)
 
 
 def _blocks(mat: np.ndarray, groups: list):
@@ -77,26 +103,9 @@ class SpinModel:
             raise ValueError("spin Hamiltonian couples different magnetisation sectors")
         pairs = [np.linalg.eigh(block) for block in blocks]
         energies = np.concatenate([evals for evals, _ in pairs])
-        shifted = energies - energies.min()
-        # Energies above the ground space, 0 on it, so that T -> 0
-        # meets the T = 0 state even where rounding splits the ground
-        # energies
-        self._excitations = np.where(shifted <= _GROUND_ATOL, 0.0, shifted)
+        self._excitations = _excitations(energies, energies.min())
         self._evecs = [evecs for _, evecs in pairs]
         self._last = None
-
-    def _weights(self, temperature: float) -> np.ndarray:
-        """Boltzmann weights relative to the ground energy, so that no
-        exponential ever overflows; exp(-inf) = 0 where the ratio
-        overflows at the smallest temperatures."""
-        if not temperature >= 0.0:
-            raise ValueError(f"temperature must be nonnegative, got {temperature}")
-        if temperature == 0.0:
-            w = (self._excitations == 0.0).astype(float)
-        else:
-            with np.errstate(over="ignore"):
-                w = np.exp(-self._excitations / temperature)
-        return w / w.sum()
 
     def thermal_rho(self, temperature: float) -> np.ndarray:
         """Gibbs state exp(-H/T), normalized; T = 0 gives the uniform
@@ -104,7 +113,8 @@ class SpinModel:
         """
         if self._last is not None and self._last[0] == temperature:
             return self._last[1]
-        w = self._weights(temperature)
+        w = _boltzmann(self._excitations, temperature)
+        w /= w.sum()
         dim = len(w)
         rho = np.zeros((dim, dim))
         start = 0
@@ -131,6 +141,122 @@ class SpinModel:
         spectrum = _pt_spectrum(self.thermal_rho(temperature), partition)
         e_n = _e_n(spectrum)
         return (e_n, e_n if e_n > 0.0 else -float(spectrum.min()))
+
+
+class SpinStarModel:
+    """The spin-1/2 XX star with field h on n sites, without a 2^n matrix.
+
+    The m = n - 1 outer sites couple to the hub (site 1) only through
+    their total spin J, so H = -2(s+_0 J- + s-_0 J+) + h(sz_0 + 2 Jz)
+    (Hutton & Bose, PRA 69, 042312 (2004)).  A partition's E_N does not
+    change when the other side is transposed instead, so transpose the
+    a outer sites labeled opposite to the hub, group T (a is the star
+    partition's area), and keep the hub with the other m - a sites,
+    group R.  With J = J_T + J_R, H and the Gibbs state split into
+    blocks on hub (x) V_{J_T} (x) V_{J_R}, of 2(2J_T + 1)(2J_R + 1)
+    states, each repeated d_{J_T}(a) d_{J_R}(m - a) times.  The Schur
+    basis of either group is a real orthogonal change of its
+    computational basis, so the partial transpose on T is the transpose
+    of each block's V_{J_T} factor, and E_N adds up each block's
+    negative spectrum times its multiplicity.  Multiplicities and the
+    partition function are carried as logs, so no size overflows them.
+
+    One grouping's block eigenpairs are found on first use and cached
+    per a; its ground energy and the ground-space clamp are taken
+    across all its blocks, as ``SpinModel`` takes them across its
+    sectors.
+    """
+
+    def __init__(self, n: int, h: float = 0.0):
+        if n < 1:
+            raise ValueError(f"spin star needs at least 1 site, got {n}")
+        self.n = n
+        self.h = h
+        self._groupings = {}
+
+    def _grouping(self, a: int) -> list:
+        """(log multiplicity, block shape, excitations, eigenvectors) of
+        every block when a outer sites are transposed."""
+        if a not in self._groupings:
+            blocks = [
+                (math.log(d_t * d_r), (2, two_t + 1, two_r + 1),
+                 *np.linalg.eigh(_star_block(two_t, two_r, self.h)))
+                for two_t, d_t in _multiplicities(a)
+                for two_r, d_r in _multiplicities(self.n - 1 - a)
+            ]
+            ground = min(evals[0] for _, _, evals, _ in blocks)
+            self._groupings[a] = [
+                (log_d, shape, _excitations(evals, ground), evecs)
+                for log_d, shape, evals, evecs in blocks
+            ]
+        return self._groupings[a]
+
+    def _cell(self, temperature: float, partition) -> tuple:
+        """(E_N, lowest eigenvalue) of the partial transpose."""
+        labels = label_signs(partition)
+        if len(labels) != self.n:
+            raise ValueError(
+                f"partition of {len(labels)} sites does not match the {self.n}-site star"
+            )
+        blocks = self._grouping(int(np.count_nonzero(labels[1:] != labels[0])))
+        weights = [_boltzmann(exc, temperature) for _, _, exc, _ in blocks]
+        logs = [log_d + math.log(w.sum()) for (log_d, *_), w in zip(blocks, weights) if w.any()]
+        top = max(logs)
+        log_z = top + math.log(sum(math.exp(x - top) for x in logs))
+        scale = math.exp(-log_z)
+        e_n, lowest = 0.0, math.inf
+        for (log_d, shape, _, evecs), w in zip(blocks, weights):
+            rho = _sym((evecs * w) @ evecs.T)
+            pt = rho.reshape(shape * 2).transpose(0, 4, 2, 3, 1, 5).reshape(rho.shape)
+            # The state's eigenvalues are these over Z, each d times over
+            spectrum = np.linalg.eigvalsh(pt)
+            negative = spectrum[spectrum * scale < NEGATIVE_EIGENVALUE_CUTOFF]
+            # d / Z < 1e12 where a negative eigenvalue lies below -1e-12 Z,
+            # since none lies below -trace >= -Z / d
+            if negative.size:
+                e_n -= math.exp(log_d - log_z) * float(negative.sum())
+            lowest = min(lowest, float(spectrum[0]) * scale)
+        return e_n, lowest
+
+    def negativity_pair(self, temperature: float, partition) -> tuple:
+        """(E_N, E_l) across the partition at one temperature."""
+        e_n, _ = self._cell(temperature, partition)
+        return (e_n, math.log2(1.0 + e_n))
+
+    def ppt_margin(self, temperature: float, partition) -> tuple:
+        """(E_N, margin), the margin as in ``SpinModel.ppt_margin``."""
+        e_n, lowest = self._cell(temperature, partition)
+        return (e_n, e_n if e_n > 0.0 else -lowest)
+
+
+def _multiplicities(k: int) -> list:
+    """(2J, d_J) for every total spin J of k spin-1/2 sites, as exact
+    ints: d_J = C(k, k/2 - J) - C(k, k/2 - J - 1) copies of spin J, so
+    that the sum of d_J (2J + 1) is 2^k."""
+    return [(k - 2 * p, math.comb(k, p) - (math.comb(k, p - 1) if p else 0))
+            for p in range(k // 2 + 1)]
+
+
+def _collective(two_j: int) -> tuple:
+    """J+ and 2 Jz of spin J = two_j / 2 in the basis M = J, J - 1, ..., -J."""
+    i = np.arange(1, two_j + 1)
+    raising = np.diag(np.sqrt(i * (two_j + 1.0 - i)), 1)
+    return raising, np.diag(two_j - 2.0 * np.arange(two_j + 1))
+
+
+def _star_block(two_t: int, two_r: int, h: float) -> np.ndarray:
+    """The star Hamiltonian on hub (x) V_{J_T} (x) V_{J_R}, the hub's up
+    spin first as in the computational basis."""
+    raise_t, z_t = _collective(two_t)
+    raise_r, z_r = _collective(two_r)
+    eye_t, eye_r = np.eye(two_t + 1), np.eye(two_r + 1)
+    raising = np.kron(raise_t, eye_r) + np.kron(eye_t, raise_r)
+    z = np.kron(z_t, eye_r) + np.kron(eye_t, z_r)
+    hub_raise, hub_z = _collective(1)
+    exchange = np.kron(hub_raise, raising.T)
+    return -2.0 * (exchange + exchange.T) + h * (
+        np.kron(hub_z, np.eye(len(z))) + np.kron(np.eye(2), z)
+    )
 
 
 def partial_transpose(rho, partition) -> np.ndarray:

@@ -23,7 +23,7 @@ from thermaneg.analysis import (
 from thermaneg.gaussian import GaussianModel
 from thermaneg.lattice import ModelSpec
 from thermaneg.partitions import central_vs_rest, even_odd, half_half
-from thermaneg.spin import SpinModel
+from thermaneg.spin import SpinModel, SpinStarModel
 
 RING = ModelSpec(kind="harmonic", topology="ring_nn", n_sites=8, c=0.4)
 
@@ -61,13 +61,21 @@ def even_odd_closed_form(c: float) -> float:
 class TestMakeEngine:
     def test_dispatch(self):
         assert isinstance(make_engine(RING), GaussianModel)
-        spin = ModelSpec(kind="spin_half", topology="star", n_sites=4)
-        assert isinstance(make_engine(spin), SpinModel)
+        star = ModelSpec(kind="spin_half", topology="star", n_sites=4)
+        assert isinstance(make_engine(star), SpinStarModel)
+        ring = ModelSpec(kind="spin_half", topology="ring_nn", n_sites=4)
+        assert isinstance(make_engine(ring), SpinModel)
 
     def test_spin_cap_propagates(self):
         spin = ModelSpec(kind="spin_half", topology="ring_nn", n_sites=10)
         with pytest.raises(ValueError):
             make_engine(spin, max_spin_sites=8)
+
+    def test_spin_cap_holds_on_the_star(self):
+        star = ModelSpec(kind="spin_half", topology="star", n_sites=10)
+        with pytest.raises(ValueError, match="exceeds the configured maximum of 8"):
+            make_engine(star, max_spin_sites=8)
+        assert isinstance(make_engine(star, max_spin_sites=10), SpinStarModel)
 
 
 class TestSweep:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thermaneg import analysis
+from thermaneg import analysis, cli, partitions
 from thermaneg.cli import (
     CONFIG_KEYS,
     EXIT_CONFIG,
@@ -402,6 +402,47 @@ class TestConfigHandling:
         code, text = run(tmp_path, *RING_NO_SCHEDULE, *schedule)
         assert code == EXIT_CONFIG and text is None
         assert capsys.readouterr().err.startswith("config error: ")
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            STAR_MODEL[:5] + ["--n", "3", "--c", "1e16", "--t-list", "0.5",
+                              "--families", "central"],
+            STAR_MODEL[:5] + ["--n", "3", "--c", "1e20", "--t-list", "0.5",
+                              "--families", "central"],
+            ["scaling", *STAR_MODEL[1:5], "--n-list", "3,5", "--c", "1e20",
+             "--certificate", "half-half", "--witness", "central"],
+        ],
+    )
+    def test_a_model_its_engine_refuses_is_one_config_error(self, tmp_path, capsys, args):
+        # rounding leaves the star V at this coupling not positive definite
+        code, text = run(tmp_path, *args)
+        assert code == EXIT_CONFIG and text is None
+        err = capsys.readouterr().err
+        assert err.startswith("config error: model: potential matrix must be positive")
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("n", ["100000000000", "1" + "0" * 400], ids=["1e11", "1e400"])
+    @pytest.mark.parametrize("family", ["central", "even-odd"])
+    @pytest.mark.parametrize(
+        "kind, topology",
+        [("harmonic", "ring_nn"), ("spin_half", "ring_nn"), ("spin_half", "star")],
+    )
+    def test_sizes_beyond_memory_are_refused_before_any_partition(
+        self, tmp_path, monkeypatch, capsys, n, family, kind, topology
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a partition list was built")
+
+        for module in (cli, partitions):
+            monkeypatch.setattr(module, "even_odd", refuse)
+        cap = ["--max-spin-sites", n] if kind == "spin_half" else ["--c", "0.4"]
+        code, text = run(tmp_path, "sweep", "--kind", kind, "--topology", topology,
+                         "--n", n, *cap, "--t-list", "1", "--families", family)
+        assert code == EXIT_CONFIG and text is None
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: model.n={n} is too large")
+        assert len(err.splitlines()) == 1
 
 
 class TestThresholdCommand:

@@ -1,11 +1,13 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thermaneg.analysis import EPS_PPT
+from thermaneg import analysis
+from thermaneg.analysis import EPS_PPT, sweep
 from thermaneg.lattice import ModelSpec, SpinHamiltonian, build_spin_hamiltonian
 from thermaneg.partitions import (
     alternating_blocks,
@@ -20,9 +22,12 @@ from thermaneg.partitions import (
 from thermaneg.spin import (
     NEGATIVE_EIGENVALUE_CUTOFF,
     SpinModel,
+    SpinStarModel,
+    _multiplicities,
     negativity,
     partial_transpose,
 )
+from test_acceptance import spin_star_hub_oracle
 
 
 def ring(n, h=0.0):
@@ -348,3 +353,96 @@ class TestChargeBlocks:
         sizes = eigensolve_sizes(monkeypatch)
         assert negativity(rho, p)[0] == dense_oracle(rho, p)
         assert sizes == [16, 16]
+
+
+def random_star_labels(rng, n):
+    """Labels with the hub of either sign and k of the n - 1 outer sites
+    labeled +1, k drawn from 0 to n - 1: one-sided labels included."""
+    hub = int(rng.choice((-1, 1)))
+    k = int(rng.integers(0, n))
+    outer = np.full(n - 1, -1)
+    outer[rng.permutation(n - 1)[:k]] = 1
+    return [hub] + outer.tolist()
+
+
+class TestSpinStarModel:
+    """The collective-spin star route against the dense engine."""
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_random_partitions_match_the_dense_engine(self, n):
+        rng = np.random.default_rng(n)
+        for h in (0.0, 0.7, -1.3):
+            dense = SpinModel(star(n, h=h))
+            route = SpinStarModel(n, h)
+            for _ in range(4):
+                labels = random_star_labels(rng, n)
+                for t in (0.0, 0.3, 1.0, 3.0):
+                    e_n, e_l = route.negativity_pair(t, labels)
+                    ref_n, ref_l = dense.negativity_pair(t, labels)
+                    assert abs(e_n - ref_n) <= 1e-12 and abs(e_l - ref_l) <= 1e-12
+                    assert (e_n > EPS_PPT) == (ref_n > EPS_PPT), (h, labels, t)
+                    margin = route.ppt_margin(t, labels)
+                    ref_margin = dense.ppt_margin(t, labels)
+                    assert np.max(np.abs(np.subtract(margin, ref_margin))) <= 1e-12
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_central_cell_matches_the_kronecker_oracle(self, n):
+        temps = (0.3, 1.0, 3.0)
+        route = SpinStarModel(n)
+        curve = [route.negativity_pair(t, central_vs_rest(n))[0] for t in temps]
+        assert np.max(np.abs(curve - spin_star_hub_oracle(n, temps))) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "labels, temperature",
+        [
+            ([1, 0, -1, -1], 1.0),
+            ([1, 2, -1, -1], 1.0),
+            ([1, -1, -1], 1.0),
+            ([1, -1, -1, -1, -1], 1.0),
+            ([1, -1, -1, -1], -0.5),
+            ([1, -1, -1, -1], math.nan),
+        ],
+    )
+    def test_refusals_match_the_dense_engine(self, labels, temperature):
+        for engine in (SpinModel(star(4)), SpinStarModel(4)):
+            with pytest.raises(ValueError):
+                engine.negativity_pair(temperature, labels)
+            with pytest.raises(ValueError):
+                engine.ppt_margin(temperature, labels)
+
+    def test_sweep_records_refusals_per_cell(self):
+        spec = ModelSpec(kind="spin_half", topology="star", n_sites=4)
+        wrong_length = from_mask("+----", topology="star", pid="five-sites")
+        not_signs = SimpleNamespace(labels=(1, 0, -1, -1), id="zero", mask="+0--", area=2)
+        grid = sweep(spec, [1.0, -0.5, math.nan], [central_vs_rest(4), wrong_length, not_signs])
+        errors = [row.error for row in grid.rows]
+        assert errors[0] == ""
+        assert all(e.startswith("ValueError: ") for e in errors[1:])
+
+    def test_multiplicities_count_every_state_without_overflow(self):
+        k = 2000
+        spins = _multiplicities(k)
+        assert sum(d * (two_j + 1) for two_j, d in spins) == 2**k
+        assert [two_j for two_j, _ in spins] == list(range(k, -1, -2))
+        assert all(math.isfinite(math.log(d)) for _, d in spins)
+
+    def test_forty_site_star_without_the_dense_engine(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the dense spin engine ran")
+
+        monkeypatch.setattr(analysis, "SpinModel", refuse)
+        monkeypatch.setattr(analysis, "build_spin_hamiltonian", refuse)
+        spec = ModelSpec(kind="spin_half", topology="star", n_sites=40)
+        engine = analysis.make_engine(spec, max_spin_sites=40)
+        # the hub-vs-rest closed value 1/2 at T = 0 for every even n
+        assert engine.negativity_pair(0.0, central_vs_rest(40))[0] == pytest.approx(
+            0.5, abs=1e-12
+        )
+        assert math.isfinite(engine.negativity_pair(0.5, central_vs_rest(40))[0])
+
+    def test_partitions_of_one_area_give_one_cell(self):
+        route = SpinStarModel(6, 0.7)
+        externals = [route.negativity_pair(1.0, single_external_vs_rest(6, s)) for s in (2, 6)]
+        assert externals[0] == externals[1]
+        # the complement of external-2 transposes the same outer site
+        assert route.negativity_pair(1.0, from_mask("+-++++")) == externals[0]
