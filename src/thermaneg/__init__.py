@@ -5,7 +5,6 @@ threshold temperatures, and bound-entanglement windows.
 
 from .analysis import (
     EPS_PPT,
-    CrossingError,
     GapTable,
     NotEntangledError,
     SweepGrid,
@@ -16,7 +15,6 @@ from .analysis import (
     bound_entanglement_window,
     make_engine,
     rank1_factorizability,
-    star_external_crossing,
     sweep,
     threshold_temperature,
     type2_gap_table,
@@ -43,6 +41,6 @@ from .partitions import (
     single_external_vs_rest,
     transfer_sweep,
 )
-from .spin import SpinModel, SpinStarModel, negativity, partial_transpose
+from .spin import SpinModel, SpinStarModel, negativity
 
 __version__ = "0.1.0"

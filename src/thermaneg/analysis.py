@@ -4,9 +4,9 @@ diagnostics built on top of the two negativity engines.
 A partition counts as PPT when its E_N drops below ``EPS_PPT``; the
 same constant drives sweep flags, threshold brackets, and window
 verification so that every module reaches identical verdicts.
-Thresholds and crossings share one root finder (``_root``): a coarse
-guard scan, then safeguarded secant steps on a continuous margin, with
-the bracket moved by the verdict alone.
+Thresholds are found by one root finder (``_root``): a coarse guard
+scan, then safeguarded secant steps on a continuous margin, with the
+bracket moved by the verdict alone.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from .lattice import (
     build_spin_hamiltonian,
     check_spin_sites,
 )
-from .partitions import single_external_vs_rest
 from .spin import SpinModel, SpinStarModel
 
 __all__ = [
@@ -38,14 +37,12 @@ __all__ = [
     "WindowResult",
     "GapRow",
     "GapTable",
-    "CrossingError",
     "make_engine",
     "sweep",
     "threshold_temperature",
     "bound_entanglement_window",
     "rank1_factorizability",
     "type2_gap_table",
-    "star_external_crossing",
 ]
 
 # A partition is declared PPT when E_N falls below this; far above
@@ -99,7 +96,6 @@ class ThresholdResult:
     engine spectra taken, guard scan included.
     """
 
-    spec: ModelSpec
     partition_id: str
     t_threshold: float
     bracket: tuple
@@ -113,7 +109,6 @@ class WindowResult:
     """Temperature window where the certificate partition is PPT while
     the witness partition still carries negativity."""
 
-    spec: ModelSpec
     certificate_id: str
     witness_id: str
     window: tuple | None
@@ -143,10 +138,6 @@ class GapTable:
     max_rel_deviation: float
 
 
-class CrossingError(RuntimeError):
-    """Raised when two negativity curves do not cross as expected."""
-
-
 def make_engine(spec: ModelSpec, max_spin_sites: int = MAX_SPIN_SITES_DEFAULT):
     """Negativity engine for a model: Gaussian, the collective-spin
     route for a spin star, or the dense spin engine for a spin ring.
@@ -166,8 +157,8 @@ def _root(probe, ts, scan, tol: float):
     ``probe(t)`` returns ``(above, margin)``: the verdict, and a
     continuous margin that is positive where the verdict holds.  ``ts``
     are the scan temperatures, ascending, and ``scan`` their probes.
-    Returns ``(lo, hi, warning)`` with above(lo) true and above(hi)
-    false, or None when the scan sees no such cell.
+    The scan's first verdict must hold and its last must not.  Returns
+    ``(lo, hi, warning)`` with above(lo) true and above(hi) false.
 
     Inside the cell, Illinois-modified secant steps on the margin pick
     the next temperature, kept at least tol/2 inside the bracket, while
@@ -180,8 +171,6 @@ def _root(probe, ts, scan, tol: float):
     floats).
     """
     cells = [i for i in range(len(ts) - 1) if scan[i][0] and not scan[i + 1][0]]
-    if not cells:
-        return None
     warning = None
     if len(cells) > 1:
         warning = (
@@ -219,16 +208,6 @@ def _root(probe, ts, scan, tol: float):
                 g_lo *= 0.5
             kept = 1
     return lo, hi, warning
-
-
-def _check_search(lo: float, hi: float, tol: float) -> None:
-    """Refuse what would break a root bracket's contract: a tolerance
-    that is not positive, a range that is not finite with lo < hi."""
-    if not (tol > 0.0 and math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-        raise ValueError(
-            f"root search needs tol > 0 and a finite range with lo < hi, "
-            f"got tol={tol}, range=({lo}, {hi})"
-        )
 
 
 def _beta_of(temperature: float) -> float:
@@ -294,7 +273,11 @@ def threshold_temperature(
     positive, or a bracket that is not finite with t_lo < t_hi, raises
     ValueError.
     """
-    _check_search(t_lo, t_hi, tol)
+    if not (tol > 0.0 and math.isfinite(t_lo) and math.isfinite(t_hi) and t_lo < t_hi):
+        raise ValueError(
+            f"root search needs tol > 0 and a finite range with lo < hi, "
+            f"got tol={tol}, range=({t_lo}, {t_hi})"
+        )
     if engine is None:
         engine = make_engine(spec)
     evaluations = 0
@@ -324,7 +307,6 @@ def threshold_temperature(
     scan = [(True, lo_margin)] + [probe(t) for t in ts[1:-1]] + [(False, hi_margin)]
     lo, hi, warning = _root(probe, ts, scan, tol)
     return ThresholdResult(
-        spec=spec,
         partition_id=partition.id,
         t_threshold=0.5 * (lo + hi),
         bracket=(lo, hi),
@@ -374,7 +356,6 @@ def bound_entanglement_window(
     def empty(reason: str) -> WindowResult:
         notes.append(reason)
         return WindowResult(
-            spec=spec,
             certificate_id=certificate.id,
             witness_id=witness.id,
             window=None,
@@ -412,7 +393,6 @@ def bound_entanglement_window(
             f"(certificate E_N={cert_en:.3e}, witness E_N={wit_en:.3e})"
         )
     return WindowResult(
-        spec=spec,
         certificate_id=cert_id,
         witness_id=wit_id,
         window=(lo, hi),
@@ -489,56 +469,3 @@ def type2_gap_table(
         deviation = 0.0
     return GapTable(rows=tuple(rows), max_rel_deviation=deviation)
 
-
-def star_external_crossing(
-    n_a: int,
-    n_b: int,
-    h: float,
-    t_range: tuple = (1.5, 3.0),
-    tol: float = 1e-4,
-    max_spin_sites: int = MAX_SPIN_SITES_DEFAULT,
-) -> float:
-    """Temperature where two star sizes trade places in external-site
-    negativity.
-
-    Below the returned T* the larger of the two systems has the smaller
-    single-external-site E_N; above it the larger system wins.  The
-    difference small-system minus large-system is scanned at 33 points
-    of ``t_range`` for a positive-to-negative sign change, and the
-    largest-T one is narrowed to ``tol`` by secant steps on that
-    difference (see ``_root``).  No such change, or only changes of the
-    opposite orientation, raise CrossingError; ``tol`` and ``t_range``
-    are checked as in ``threshold_temperature``.
-    """
-    if n_a == n_b:
-        raise ValueError("crossing needs two different system sizes")
-    _check_search(t_range[0], t_range[1], tol)
-    n_small, n_large = sorted((int(n_a), int(n_b)))
-    engines = {}
-    parts = {}
-    for n in (n_small, n_large):
-        spec = ModelSpec(kind="spin_half", topology="star", n_sites=n, h=h)
-        engines[n] = make_engine(spec, max_spin_sites=max_spin_sites)
-        parts[n] = single_external_vs_rest(n, 2)
-
-    def probe(t: float) -> tuple:
-        small = engines[n_small].negativity_pair(t, parts[n_small])[0]
-        large = engines[n_large].negativity_pair(t, parts[n_large])[0]
-        diff = small - large
-        return diff > 0.0, diff
-
-    ts = [float(t) for t in np.linspace(t_range[0], t_range[1], 33)]
-    scan = [probe(t) for t in ts]
-    found = _root(probe, ts, scan, tol)
-    if found is None:
-        diffs = [d for _, d in scan]
-        if any(diffs[i] < 0.0 <= diffs[i + 1] for i in range(len(ts) - 1)):
-            raise CrossingError(
-                "curves cross with the opposite orientation in "
-                f"({t_range[0]:g}, {t_range[1]:g})"
-            )
-        raise CrossingError(
-            f"no crossing of external-site negativities in ({t_range[0]:g}, {t_range[1]:g})"
-        )
-    lo, hi, _ = found
-    return 0.5 * (lo + hi)

@@ -21,7 +21,7 @@ import sys
 import numpy as np
 
 from . import analysis
-from .analysis import CrossingError, ThresholdError
+from .analysis import ThresholdError
 from .lattice import MAX_SPIN_SITES_DEFAULT, ModelSpec
 from .partitions import (
     alternating_blocks,
@@ -171,8 +171,13 @@ def _ints(text: str) -> tuple:
     return tuple(int(tok) for tok in text.replace(",", " ").split())
 
 
+def _float(text: str) -> float:
+    """A float read from text, with -0 read as 0 so that it prints as 0."""
+    return float(text) + 0.0
+
+
 def _floats(text: str) -> tuple:
-    values = tuple(float(tok) for tok in text.replace(",", " ").split())
+    values = tuple(_float(tok) for tok in text.replace(",", " ").split())
     if any(math.isnan(v) for v in values):
         raise ValueError("nan is not allowed")
     return values
@@ -190,8 +195,8 @@ CONFIG_KEYS = {
     "topology": ("model", str, None),
     "n": ("model", _ints, None),
     "n_list": ("model", _ints, None),
-    "c": ("model", float, 0.0),
-    "h": ("model", float, 0.0),
+    "c": ("model", _float, 0.0),
+    "h": ("model", _float, 0.0),
     "t_list": ("schedule", _floats, None),
     "beta_list": ("schedule", _floats, None),
     "t_range": ("schedule", _floats, None),
@@ -200,8 +205,8 @@ CONFIG_KEYS = {
     "certificate": ("partitions", str, None),
     "witness": ("partitions", str, None),
     "out": ("run", str, None),
-    "tol": ("run", float, 1e-6),
-    "max_spin_sites": ("run", int, None),
+    "tol": ("run", _float, 1e-6),
+    "max_spin_sites": ("run", int, MAX_SPIN_SITES_DEFAULT),
 }
 
 
@@ -261,12 +266,6 @@ class Experiment:
             )
         if not self.tol > 0:
             raise ConfigError(f"run.tol must be positive, got {self.tol}")
-        if self.max_spin_sites is None:
-            env_cap = os.environ.get("THERMANEG_MAX_SPIN_SITES")
-            try:
-                self.max_spin_sites = int(env_cap) if env_cap else MAX_SPIN_SITES_DEFAULT
-            except ValueError as exc:
-                raise ConfigError(f"THERMANEG_MAX_SPIN_SITES: {exc}")
         self.specs = tuple(self._model(n) for n in self.n_list)
 
     def engine(self, spec: ModelSpec):
@@ -322,7 +321,7 @@ class Experiment:
         if spec.kind == "spin_half" and n > self.max_spin_sites:
             raise ConfigError(
                 f"model.n={n} exceeds run.max_spin_sites={self.max_spin_sites} "
-                f"(override with THERMANEG_MAX_SPIN_SITES or run.max_spin_sites)"
+                f"(raise it with --max-spin-sites or run.max_spin_sites)"
             )
         # log2 of the bytes of the engine's largest array: V (n x n), a
         # spin ring's H (2^n x 2^n), or a spin star's top block (at
@@ -625,7 +624,7 @@ def main(argv=None) -> int:
     except MemoryError as exc:
         print(f"config error: model too large for memory: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ThresholdError, CrossingError, ArithmeticError, np.linalg.LinAlgError) as exc:
+    except (ThresholdError, ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

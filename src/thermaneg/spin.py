@@ -30,18 +30,22 @@ from .partitions import label_signs
 __all__ = [
     "SpinModel",
     "SpinStarModel",
-    "partial_transpose",
     "negativity",
 ]
 
-# Below this an eigenvalue of the partial transpose counts as negative.
-# It sits above the rounding noise of a symmetric eigensolve of a
-# unit-trace matrix, of order dim * eps: 2e-13 for the largest charge
-# block at 12 sites (924 states), 9e-13 for a dense solve at 2^12.
+# Below this an eigenvalue of the unit-trace partial transpose counts
+# as negative in ``SpinModel``.  It sits above the rounding noise of a
+# symmetric eigensolve of a unit-trace matrix, of order dim * eps: 2e-13
+# for the largest charge block at 12 sites (924 states), 9e-13 for a
+# dense solve at 2^12.  ``SpinStarModel`` scales it by each block's
+# largest |eigenvalue|, the rounding scale of that block's eigensolve,
+# since a block repeated d times carries d times the weight of one copy;
+# past 1e-12 / eps (about 4,500 states) a block's cutoff follows dim * eps.
 NEGATIVE_EIGENVALUE_CUTOFF = -1e-12
 # Eigenstates within this of the minimum energy belong to the ground
 # space, and share its Boltzmann weight at every temperature.
 _GROUND_ATOL = 1e-10
+_EPS = float(np.finfo(float).eps)
 
 
 def _sym(m: np.ndarray) -> np.ndarray:
@@ -210,9 +214,8 @@ class SpinStarModel:
             pt = rho.reshape(shape * 2).transpose(0, 4, 2, 3, 1, 5).reshape(rho.shape)
             # The state's eigenvalues are these over Z, each d times over
             spectrum = np.linalg.eigvalsh(pt)
-            negative = spectrum[spectrum * scale < NEGATIVE_EIGENVALUE_CUTOFF]
-            # d / Z < 1e12 where a negative eigenvalue lies below -1e-12 Z,
-            # since none lies below -trace >= -Z / d
+            cutoff = min(NEGATIVE_EIGENVALUE_CUTOFF, -len(spectrum) * _EPS)
+            negative = spectrum[spectrum < cutoff * float(np.abs(spectrum).max())]
             if negative.size:
                 e_n -= math.exp(log_d - log_z) * float(negative.sum())
             lowest = min(lowest, float(spectrum[0]) * scale)
@@ -259,16 +262,8 @@ def _star_block(two_t: int, two_r: int, h: float) -> np.ndarray:
     )
 
 
-def partial_transpose(rho, partition) -> np.ndarray:
-    """Transpose the indices of every site labeled +1.
-
-    Involutive and trace preserving; on a real symmetric matrix the
-    result is again real symmetric.
-    """
-    return _transposed(rho, label_signs(partition))
-
-
 def _transposed(rho, labels: np.ndarray) -> np.ndarray:
+    """Transpose the indices of every site labeled +1."""
     mat = np.asarray(rho)
     n = len(labels)
     dim = mat.shape[0]

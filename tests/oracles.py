@@ -13,6 +13,12 @@
   product.
 * XX-plus-field Hamiltonian from Kronecker products of Pauli matrices,
   with its own bond list, for the bit-arithmetic spin builder.
+* dense partial transpose from basis-index bit swaps, with its own
+  site-to-bit mask, for the spin engines' partial transposes.
+* hub-vs-rest E_N of the spin star from the outer sites' total spin,
+  with its own collective-spin matrices, multiplicities and cutoff,
+  for the collective-spin star engine at sizes the dense route cannot
+  reach.
 
 Convention note: each sub-unit eigenvalue in the oracle is the square
 of a symplectic eigenvalue nu of the sign-flipped covariance, so the
@@ -150,3 +156,65 @@ def xx_field_hamiltonian(topology: str, n: int, h: float) -> np.ndarray:
         ham = ham - product({i: "x", j: "x"}) - product({i: "y", j: "y"})
     assert not np.any(ham.imag)
     return ham.real
+
+
+def partial_transpose(rho, partition) -> np.ndarray:
+    """Transpose the indices of every site labeled +1, by bit swaps.
+
+    Site i (0-based) of n is bit n - 1 - i of a basis index, so site 1
+    is the leftmost Kronecker factor.  With m the bits of the +1 sites,
+    entry (a, b) of the result is entry (a', b') of rho, where
+    a' = (a & ~m) | (b & m) and b' = (b & ~m) | (a & m): the transposed
+    sites' bits trade places between row and column.
+    """
+    labels = list(getattr(partition, "labels", partition))
+    n = len(labels)
+    mat = np.asarray(rho)
+    assert mat.shape == (2**n, 2**n), f"{mat.shape} is not the shape of {n} sites"
+    m = 0
+    for i, sign in enumerate(labels):
+        if sign == 1:
+            m |= 1 << (n - 1 - i)
+    a = np.arange(2**n)[:, None]
+    b = np.arange(2**n)[None, :]
+    return mat[(a & ~m) | (b & m), (b & ~m) | (a & m)]
+
+
+# A block eigenvalue below this fraction of the block's largest
+# |eigenvalue| counts as negative in the star hub oracle.  Far above a
+# block eigensolve's rounding; at low T the star's blocks carry about
+# 1e-11 of E_N in eigenvalues between this and 1e-12 of that scale.
+_STAR_BLOCK_CUTOFF = 1e-9
+
+
+def spin_star_hub_negativity(n: int, temperature: float, h: float = 0.0) -> float:
+    """Hub-vs-rest E_N of the spin-1/2 XX star with field at T > 0.
+
+    The m = n - 1 outer sites enter H only through their total spin J,
+    so on hub (x) V_J, with V_J in the basis M = -J, ..., J,
+    H_J = -(sx (x) 2Jx + sy (x) 2Jy) + h (sz (x) 1 + 1 (x) 2Jz), and
+    V_J occurs (2J + 1) C(m, m/2 - J) / (m/2 + J + 1) times.  The hub
+    is a tensor factor of every block, so the state's partial transpose
+    on the hub is the hub transpose of each block, repeated as often.
+    """
+    m = n - 1
+    blocks = []
+    for two_j in range(m, -1, -2):
+        mult = (two_j + 1) * math.comb(m, (m - two_j) // 2) * 2 // (m + two_j + 2)
+        ms = np.arange(-two_j, two_j + 1, 2) / 2.0
+        j_plus = np.diag(np.sqrt(two_j / 2 * (two_j / 2 + 1) - ms[:-1] * (ms[:-1] + 1)), -1)
+        j_x, j_y = (j_plus + j_plus.T) / 2.0, (j_plus - j_plus.T) / 2.0j
+        ham = -(np.kron(_PAULI["x"], 2.0 * j_x) + np.kron(_PAULI["y"], 2.0 * j_y)) + h * (
+            np.kron(_PAULI["z"], np.eye(two_j + 1)) + np.kron(np.eye(2), np.diag(2.0 * ms))
+        )
+        assert not np.any(ham.imag)
+        blocks.append((mult, two_j + 1, *np.linalg.eigh(ham.real)))
+    ground = min(evals[0] for _, _, evals, _ in blocks)
+    z = e_n = 0.0
+    for mult, dim, evals, evecs in blocks:
+        w = np.exp(-(evals - ground) / temperature)
+        z += mult * w.sum()
+        rho = ((evecs * w) @ evecs.T).reshape(2, dim, 2, dim)
+        spectrum = np.linalg.eigvalsh(rho.transpose(2, 1, 0, 3).reshape(2 * dim, 2 * dim))
+        e_n -= mult * spectrum[spectrum < -_STAR_BLOCK_CUTOFF * np.abs(spectrum).max()].sum()
+    return float(e_n / z)

@@ -25,7 +25,6 @@ from thermaneg.analysis import (
     SweepGrid,
     SweepRow,
     rank1_factorizability,
-    star_external_crossing,
     sweep,
     type2_gap_table,
 )
@@ -236,6 +235,26 @@ def spin_star_curve(n, partition, temps):
     return np.array([engine.negativity_pair(t, partition)[0] for t in temps])
 
 
+def external_crossing(n_small, n_large, t_range=(1.5, 3.0), tol=1e-4):
+    """T where the larger star's external-site E_N overtakes the smaller
+    star's: the largest-T cell of a 33-point scan of ``t_range`` where
+    small minus large goes from + to -, bisected to ``tol``."""
+
+    def diff(temps):
+        return (spin_star_curve(n_small, single_external_vs_rest(n_small, 2), temps)
+                - spin_star_curve(n_large, single_external_vs_rest(n_large, 2), temps))
+
+    ts = np.linspace(t_range[0], t_range[1], 33)
+    above = diff(ts) > 0.0
+    cells = np.flatnonzero(above[:-1] & ~above[1:])
+    assert cells.size, f"no + to - change of the difference in {t_range}"
+    lo, hi = ts[cells[-1]], ts[cells[-1] + 1]
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if diff([mid])[0] > 0.0 else (lo, mid)
+    return 0.5 * (lo + hi)
+
+
 def spin_star_hub_oracle(n, temps):
     """Hub-vs-rest E_N of the h = 0 XX star, built from Kronecker products.
 
@@ -299,7 +318,7 @@ def test_star_external_curves_cross_between_two_and_two_point_six():
     diff = small - large
     changes = int(np.sum(np.sign(diff[:-1]) != np.sign(diff[1:])))
     ordered = diff[0] > 0 and diff[-1] < 0  # n=10 smaller below, larger above
-    t_star = star_external_crossing(4, 10, h=0.0, t_range=(1.5, 3.0), tol=1e-4)
+    t_star = external_crossing(4, 10, t_range=(1.5, 3.0), tol=1e-4)
     inside = 2.0 < t_star < 2.6
     elapsed = time.perf_counter() - start
     check(
@@ -308,6 +327,12 @@ def test_star_external_curves_cross_between_two_and_two_point_six():
         f"T*={t_star:.4f}, sign changes on the scan: {changes}, "
         f"orientation flip: {ordered}, {elapsed:.1f}s",
     )
+
+
+def test_four_and_six_site_external_curves_cross_between_one_point_five_and_three():
+    t_star = external_crossing(4, 6, tol=1e-3)
+    check("4- and 6-site external-site curves cross inside (1.5, 3.0)",
+          1.5 < t_star < 3.0, f"T*={t_star:.4f}")
 
 
 def test_ring_area_pattern_sharpens_toward_the_threshold():

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from thermaneg.analysis import (
     EPS_PPT,
-    CrossingError,
     NotEntangledError,
     SweepGrid,
     SweepRow,
@@ -15,7 +14,6 @@ from thermaneg.analysis import (
     bound_entanglement_window,
     make_engine,
     rank1_factorizability,
-    star_external_crossing,
     sweep,
     threshold_temperature,
     type2_gap_table,
@@ -407,30 +405,3 @@ class TestGapTable:
             tol=1e-3,
         )
         assert table.max_rel_deviation == 0.0
-
-
-class TestExternalCrossing:
-    def test_small_star_pair_crosses_once(self):
-        t_star = star_external_crossing(4, 6, h=0.0, tol=1e-3)
-        assert 1.5 < t_star < 3.0
-
-    def test_tolerance_below_float_resolution_still_returns(self):
-        coarse = star_external_crossing(4, 6, h=0.0, tol=1e-3)
-        fine = star_external_crossing(4, 6, h=0.0, tol=1e-300)
-        assert fine == pytest.approx(coarse, abs=1e-3)
-
-    def test_identical_sizes_rejected(self):
-        with pytest.raises(ValueError):
-            star_external_crossing(6, 6, h=0.0)
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [dict(tol=math.nan), dict(t_range=(1.5, math.inf)), dict(t_range=(3.0, 1.5))],
-    )
-    def test_search_settings_that_break_the_bracket_refused(self, kwargs):
-        with pytest.raises(ValueError, match="root search needs tol > 0"):
-            star_external_crossing(4, 6, h=0.0, **kwargs)
-
-    def test_missing_crossing_raises(self):
-        with pytest.raises(CrossingError):
-            star_external_crossing(4, 6, h=0.0, t_range=(0.5, 1.0))

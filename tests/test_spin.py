@@ -24,9 +24,10 @@ from thermaneg.spin import (
     SpinModel,
     SpinStarModel,
     _multiplicities,
+    _pt_spectrum,
     negativity,
-    partial_transpose,
 )
+from oracles import partial_transpose, spin_star_hub_negativity
 from test_acceptance import spin_star_hub_oracle
 
 
@@ -213,7 +214,7 @@ class TestPartialTranspose:
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            partial_transpose(np.eye(8), from_mask("+-"))
+            negativity(np.eye(8), from_mask("+-"))
 
     @pytest.mark.parametrize("bad", [0.0, 2.0, math.nan], ids=["zero", "two", "nan"])
     def test_labels_other_than_plus_minus_one_rejected(self, bad):
@@ -221,7 +222,6 @@ class TestPartialTranspose:
         model = SpinModel(ring(4))
         labels = [bad, -1, 1, -1]
         for call in (
-            lambda: partial_transpose(model.thermal_rho(0.5), labels),
             lambda: negativity(model.thermal_rho(0.5), labels),
             lambda: model.negativity_pair(0.5, labels),
             lambda: model.ppt_margin(0.5, labels),
@@ -378,12 +378,18 @@ class TestSpinStarModel:
                 labels = random_star_labels(rng, n)
                 for t in (0.0, 0.3, 1.0, 3.0):
                     e_n, e_l = route.negativity_pair(t, labels)
-                    ref_n, ref_l = dense.negativity_pair(t, labels)
-                    assert abs(e_n - ref_n) <= 1e-12 and abs(e_l - ref_l) <= 1e-12
-                    assert (e_n > EPS_PPT) == (ref_n > EPS_PPT), (h, labels, t)
+                    # E_N by its definition, every negative eigenvalue of the
+                    # dense state's partial transpose: the engines' cutoffs
+                    # differ, absolute in the dense one, per block in the route
+                    spectrum = _pt_spectrum(dense.thermal_rho(t), labels)
+                    ref_n = float(-spectrum[spectrum < 0.0].sum())
+                    ref_margin = ref_n if ref_n > 0.0 else -float(spectrum.min())
+                    assert abs(e_n - ref_n) <= 1e-12
+                    assert abs(e_l - math.log2(1.0 + ref_n)) <= 1e-12
                     margin = route.ppt_margin(t, labels)
-                    ref_margin = dense.ppt_margin(t, labels)
-                    assert np.max(np.abs(np.subtract(margin, ref_margin))) <= 1e-12
+                    assert np.max(np.abs(np.subtract(margin, (ref_n, ref_margin)))) <= 1e-12
+                    verdict = dense.negativity_pair(t, labels)[0] > EPS_PPT
+                    assert (e_n > EPS_PPT) == verdict, (h, labels, t)
 
     @pytest.mark.parametrize("n", range(2, 8))
     def test_central_cell_matches_the_kronecker_oracle(self, n):
@@ -439,6 +445,16 @@ class TestSpinStarModel:
             0.5, abs=1e-12
         )
         assert math.isfinite(engine.negativity_pair(0.5, central_vs_rest(40))[0])
+
+    @pytest.mark.parametrize("t", [1.0, 2.0, 6.0])
+    def test_forty_site_hub_matches_the_block_oracle(self, t):
+        # each block's negative eigenvalues count against that block, not
+        # against one copy of the normalised state: at T = 6 every one lies
+        # above -1e-12 / Z, and hub E_N is still 2.2e-3
+        e_n = SpinStarModel(40).negativity_pair(t, central_vs_rest(40))[0]
+        assert e_n == pytest.approx(spin_star_hub_negativity(40, t), abs=1e-10)
+        if t == 6.0:
+            assert e_n == pytest.approx(2.2047e-3, abs=1e-7)
 
     def test_partitions_of_one_area_give_one_cell(self):
         route = SpinStarModel(6, 0.7)
