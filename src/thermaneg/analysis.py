@@ -217,9 +217,10 @@ def _beta_of(temperature: float) -> float:
 def sweep(spec: ModelSpec, temperatures, partitions, engine=None) -> SweepGrid:
     """Evaluate every (temperature, partition) cell of the grid.
 
-    Rows come out in grid order, temperature outermost.  A failing
-    cell is recorded in its row's ``error`` field instead of aborting
-    the grid.
+    Rows come out in grid order, temperature outermost.  The engine's
+    ``negativity_grid`` evaluates the whole grid at once; should it
+    raise, the cells are evaluated one by one, and a failing cell is
+    recorded in its row's ``error`` field instead of aborting the grid.
     """
     temperatures = [float(t) for t in temperatures]
     partitions = list(partitions)
@@ -229,14 +230,10 @@ def sweep(spec: ModelSpec, temperatures, partitions, engine=None) -> SweepGrid:
         raise ValueError("partition list contains duplicate ids")
     if engine is None and partitions:
         engine = make_engine(spec)
+    if not (temperatures and partitions):
+        return SweepGrid(spec=spec, rows=())
 
-    def evaluate(t, part):
-        e_n = e_l = float("nan")
-        error = ""
-        try:
-            e_n, e_l = engine.negativity_pair(t, part)
-        except Exception as exc:  # recorded per cell, grid continues
-            error = f"{type(exc).__name__}: {exc}"
+    def row(t, part, e_n, e_l, error=""):
         return SweepRow(
             temperature=t,
             beta=_beta_of(t),
@@ -245,11 +242,26 @@ def sweep(spec: ModelSpec, temperatures, partitions, engine=None) -> SweepGrid:
             area=part.area,
             e_n=e_n,
             e_l=e_l,
-            is_ppt=bool(e_n < EPS_PPT) if not error else False,
+            is_ppt=not error and bool(e_n < EPS_PPT),
             error=error,
         )
 
-    rows = tuple(evaluate(t, p) for t in temperatures for p in partitions)
+    def evaluate(t, part):
+        try:
+            return row(t, part, *engine.negativity_pair(t, part))
+        except Exception as exc:  # recorded per cell, grid continues
+            return row(t, part, math.nan, math.nan, f"{type(exc).__name__}: {exc}")
+
+    try:
+        values = engine.negativity_grid(temperatures, partitions).tolist()
+    except Exception:  # some cell fails: each failure goes to its own row
+        rows = tuple(evaluate(t, p) for t in temperatures for p in partitions)
+    else:
+        rows = tuple(
+            row(t, p, e_n, e_l)
+            for t, cells in zip(temperatures, values)
+            for p, (e_n, e_l) in zip(partitions, cells)
+        )
     return SweepGrid(spec=spec, rows=rows)
 
 
@@ -385,8 +397,7 @@ def bound_entanglement_window(
         return empty("thresholds coincide within tolerance; no window")
 
     mid = 0.5 * (lo + hi)
-    cert_en = engine.negativity_pair(mid, cert_part)[0]
-    wit_en = engine.negativity_pair(mid, wit_part)[0]
+    cert_en, wit_en = engine.negativity_grid([mid], [cert_part, wit_part])[0, :, 0].tolist()
     if cert_en >= EPS_PPT or wit_en < EPS_PPT:
         return empty(
             f"midpoint verification failed at T={mid:g} "

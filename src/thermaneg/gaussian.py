@@ -49,7 +49,7 @@ import math
 
 import numpy as np
 
-from .lattice import PotentialMatrix
+from .lattice import PotentialMatrix, stacked, temperature_array
 from .partitions import label_signs
 
 __all__ = ["GaussianModel"]
@@ -138,8 +138,11 @@ class GaussianModel:
                 return int(c)
         return None
 
-    def _spectrum(self, temperature: float, partition) -> np.ndarray:
-        """Ascending eigenvalues of A A^T, which are those of Q."""
+    def _spectrum(self, temperatures, partition) -> np.ndarray:
+        """Ascending eigenvalues of A A^T, which are those of Q, one row
+        per temperature.  The partition's route and sign work are found
+        once, and each route takes one stacked eigvalsh for all the
+        temperatures."""
         signs = label_signs(partition)
         if signs.shape != (self.n,):
             raise ValueError(
@@ -147,26 +150,35 @@ class GaussianModel:
             )
         period = self._period(signs)
         if period is not None:
-            return _bloch_spectrum(self._s, temperature, signs[:period])
+            return _bloch_spectrum(self._s, temperatures, signs[:period])
         centre = self._mirror_centre(signs)
         if centre is None:
             u, s = self._mirror_basis(0)[:2] if self._u is None else (self._u, self._s)
-            return _dense_spectrum(u, s, temperature, signs)
+            return _dense_spectrum(u, s, temperatures, signs)
         # V is translation invariant: shift the centre to 0 or 1
         u, s, e = self._mirror_basis(centre % 2)
         signs = np.roll(signs, -(centre // 2))
-        even = _dense_spectrum(u[:, :e], s[:e], temperature, signs)
-        odd = _dense_spectrum(u[:, e:], s[e:], temperature, signs)
-        return np.sort(np.concatenate([even, odd]))
+        even = _dense_spectrum(u[:, :e], s[:e], temperatures, signs)
+        odd = _dense_spectrum(u[:, e:], s[e:], temperatures, signs)
+        return np.sort(np.concatenate([even, odd], axis=1), axis=1)
 
     def log_negativity(self, temperature: float, partition) -> float:
         """Spectral-route E_l in bits across the given partition."""
-        return _log_gain(self._spectrum(temperature, partition))
+        return _log_gain(self._spectrum([temperature], partition)[0])
 
     def negativity_pair(self, temperature: float, partition) -> tuple:
         """(E_N, E_l) with E_N = 2**E_l - 1."""
         el = self.log_negativity(temperature, partition)
         return (_negativity(el), el)
+
+    def negativity_grid(self, temperatures, partitions) -> np.ndarray:
+        """(E_N, E_l) of every cell, shape (temperatures, partitions, 2)."""
+        grid = np.empty((len(temperatures), len(partitions), 2))
+        for j, partition in enumerate(partitions):
+            for i, ev in enumerate(self._spectrum(temperatures, partition)):
+                el = _log_gain(ev)
+                grid[i, j] = (_negativity(el), el)
+        return grid
 
     def ppt_margin(self, temperature: float, partition) -> tuple:
         """(E_N, lambda_max(A A^T) - 1) from one spectrum.
@@ -177,45 +189,51 @@ class GaussianModel:
         power law.  On the Bloch route lambda_max is the largest top
         eigenvalue over the momentum blocks.
         """
-        ev = self._spectrum(temperature, partition)
+        ev = self._spectrum([temperature], partition)[0]
         return (_negativity(_log_gain(ev)), float(ev[-1]) - 1.0)
 
 
-def _weights(s: np.ndarray, temperature: float) -> np.ndarray:
-    """Diagonal of W(T) for the mode frequencies s.
+def _weights(s: np.ndarray, temperatures: np.ndarray) -> np.ndarray:
+    """Diagonal of W(T) for the mode frequencies s, one row per
+    temperature.
 
     As T -> inf, s/2T -> 0 and coth diverges; the infinite weights
     are that exact limit, and they make the log-negativity 0.
     """
-    if not temperature >= 0.0:
-        raise ValueError(f"temperature must be nonnegative, got {temperature}")
-    if temperature == 0.0:
-        return np.ones_like(s)
-    with np.errstate(divide="ignore", over="ignore"):
-        return 1.0 / np.tanh(s / (2.0 * temperature))
+    temperatures = temperature_array(temperatures)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        w = 1.0 / np.tanh(s / (2.0 * temperatures[:, None]))
+    w[temperatures == 0.0] = 1.0
+    return w
 
 
 def _dense_spectrum(
-    u: np.ndarray, s: np.ndarray, temperature: float, signs: np.ndarray
+    u: np.ndarray, s: np.ndarray, temperatures: np.ndarray, signs: np.ndarray
 ) -> np.ndarray:
-    """Ascending eigenvalues of A A^T over the orthonormal modes ``u``.
+    """Ascending eigenvalues of A A^T over the orthonormal modes ``u``,
+    one row per temperature.
 
     With S the smaller sign class, U^T P U = +-(I - 2 U_S^T U_S) for
     labels of exactly +-1, and A A^T does not see the overall sign.
     The columns of ``u`` are modes of V with frequencies s: the full
     eigenbasis on the dense route, one parity block on the mirror route.
     """
-    w = _weights(s, temperature)
     minus = signs < 0
     us = u[minus if 2 * np.count_nonzero(minus) <= signs.size else ~minus]
-    a = np.eye(s.size) - 2.0 * (us.T @ us)
-    a *= np.sqrt(s / w)[:, None]
-    a *= np.sqrt(1.0 / (w * s))[None, :]
-    return np.linalg.eigvalsh(a @ a.T)
+    m = np.eye(s.size) - 2.0 * (us.T @ us)
+
+    def spectra(temps):
+        w = _weights(s, temps)
+        a = m * np.sqrt(s / w)[:, :, None]
+        a *= np.sqrt(1.0 / (w * s))[:, None, :]
+        return np.linalg.eigvalsh(a @ a.transpose(0, 2, 1))
+
+    return stacked(spectra, temperatures, s.size**2)
 
 
-def _bloch_spectrum(s: np.ndarray, temperature: float, cell: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of A A^T for signs repeating ``cell``.
+def _bloch_spectrum(s: np.ndarray, temperatures: np.ndarray, cell: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of A A^T for signs repeating ``cell``, one
+    row per temperature.
 
     With s the Fourier frequencies of a circulant V and L = len(cell),
     momentum kappa + m n/L couples only to kappa + m' n/L through
@@ -225,13 +243,19 @@ def _bloch_spectrum(s: np.ndarray, temperature: float, cell: np.ndarray) -> np.n
     """
     period = cell.size
     cells = s.size // period
-    w = _weights(s, temperature)
     # momenta of block kappa, shape (n/L, L)
     k = np.arange(cells)[:, None] + cells * np.arange(period)[None, :]
     m = np.arange(period)
     b = (np.fft.fft(cell) / period)[(m[:, None] - m[None, :]) % period]
-    a = np.sqrt(s / w)[k][:, :, None] * b * np.sqrt(1.0 / (w * s))[k][:, None, :]
-    return np.sort(np.linalg.eigvalsh(a @ a.conj().transpose(0, 2, 1)).ravel())
+
+    def spectra(temps):
+        w = _weights(s, temps)
+        a = np.sqrt(s / w)[:, k, None] * b * np.sqrt(1.0 / (w * s))[:, k][:, :, None, :]
+        ev = np.linalg.eigvalsh(a @ a.conj().swapaxes(-1, -2))
+        return np.sort(ev.reshape(len(temps), -1), axis=1)
+
+    # complex entries, two float64 each
+    return stacked(spectra, temperatures, 2 * s.size * period)
 
 
 def _log_gain(ev: np.ndarray) -> float:

@@ -11,6 +11,9 @@ Topologies are a nearest-neighbour ring (``ring_nn``) and a star in
 which one central site couples to every other site (``star``).  Site 1
 is the hub of the star.  Sites are numbered from 1 in documentation and
 I/O; internal arrays are 0-based.
+
+The conventions both engines share live here too: the site-to-bit map
+of spin basis states, and how temperatures are checked and stacked.
 """
 
 from __future__ import annotations
@@ -32,6 +35,11 @@ __all__ = [
 ]
 
 MAX_SPIN_SITES_DEFAULT = 12
+
+# The engines stack one matrix per temperature.  A stacked array holds at
+# most this many float64 entries (32 MiB); a matrix bigger than that on
+# its own is stacked alone.
+STACK_ENTRIES = 2**22
 
 _KINDS = ("harmonic", "spin_half")
 _TOPOLOGIES = ("ring_nn", "star")
@@ -181,6 +189,29 @@ def popcount(states: np.ndarray) -> np.ndarray:
     for k in range(int(states.max()).bit_length()):
         count += (states >> k) & 1
     return count
+
+
+def temperature_array(temperatures) -> np.ndarray:
+    """The temperatures as a float array; ValueError unless each is >= 0."""
+    temps = np.asarray(temperatures, dtype=float)
+    bad = temps[~(temps >= 0.0)]
+    if bad.size:
+        raise ValueError(f"temperature must be nonnegative, got {float(bad[0])}")
+    return temps
+
+
+def stacked(kernel, temperatures: np.ndarray, entries: int) -> np.ndarray:
+    """``kernel`` over runs of the temperatures, joined along axis 0.
+
+    ``entries`` is the size of the largest array that ``kernel`` stacks
+    per temperature; a run holds as many temperatures as fit
+    STACK_ENTRIES, and one at least.  An empty list makes one empty run,
+    so the result keeps its trailing shape.
+    """
+    step = max(1, STACK_ENTRIES // max(entries, 1))
+    return np.concatenate(
+        [kernel(temperatures[i:i + step]) for i in range(0, len(temperatures) or 1, step)]
+    )
 
 
 def topology_edges(topology: str, n: int) -> list[tuple[int, int]]:

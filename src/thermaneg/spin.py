@@ -24,7 +24,7 @@ import math
 
 import numpy as np
 
-from .lattice import popcount, site_mask
+from .lattice import popcount, site_mask, stacked, temperature_array
 from .partitions import label_signs
 
 __all__ = [
@@ -49,7 +49,8 @@ _EPS = float(np.finfo(float).eps)
 
 
 def _sym(m: np.ndarray) -> np.ndarray:
-    return 0.5 * (m + m.T)
+    """The symmetric part of a matrix, or of each in a stack."""
+    return 0.5 * (m + m.swapaxes(-1, -2))
 
 
 def _groups(keys: np.ndarray) -> list:
@@ -64,17 +65,15 @@ def _excitations(energies: np.ndarray, ground: float) -> np.ndarray:
     return np.where(shifted <= _GROUND_ATOL, 0.0, shifted)
 
 
-def _boltzmann(excitations: np.ndarray, temperature: float) -> np.ndarray:
+def _boltzmann(excitations: np.ndarray, temperatures: np.ndarray) -> np.ndarray:
     """Unnormalized Boltzmann weights of energies above the ground
-    space, so that no exponential ever overflows; exp(-inf) = 0 where
-    the ratio overflows at the smallest temperatures.  T = 0 weighs the
-    ground space alone."""
-    if not temperature >= 0.0:
-        raise ValueError(f"temperature must be nonnegative, got {temperature}")
-    if temperature == 0.0:
-        return (excitations == 0.0).astype(float)
-    with np.errstate(over="ignore"):
-        return np.exp(-excitations / temperature)
+    space, one row per checked temperature, so that no exponential ever
+    overflows; exp(-inf) = 0 where the ratio overflows at the smallest
+    temperatures.  T = 0 weighs the ground space alone."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        weights = np.exp(-excitations / temperatures[:, None])
+    weights[temperatures == 0.0] = excitations == 0.0
+    return weights
 
 
 def _blocks(mat: np.ndarray, groups: list):
@@ -92,10 +91,7 @@ class SpinModel:
     The Hamiltonian must conserve the magnetisation (the number of set
     bits of the basis index), as the XX-with-field models do; it is
     diagonalized once, sector by sector.  Gibbs states at any
-    temperature are then two matrix products per sector away.  The
-    most recent density matrix is kept so that sweeps evaluating many
-    partitions at the same temperature do not rebuild it per
-    partition.
+    temperature are then two matrix products per sector away.
     """
 
     def __init__(self, hamiltonian):
@@ -109,15 +105,12 @@ class SpinModel:
         energies = np.concatenate([evals for evals, _ in pairs])
         self._excitations = _excitations(energies, energies.min())
         self._evecs = [evecs for _, evecs in pairs]
-        self._last = None
 
     def thermal_rho(self, temperature: float) -> np.ndarray:
         """Gibbs state exp(-H/T), normalized; T = 0 gives the uniform
         mixture over the ground eigenspace (the zero-temperature limit).
         """
-        if self._last is not None and self._last[0] == temperature:
-            return self._last[1]
-        w = _boltzmann(self._excitations, temperature)
+        w = _boltzmann(self._excitations, temperature_array([temperature]))[0]
         w /= w.sum()
         dim = len(w)
         rho = np.zeros((dim, dim))
@@ -126,12 +119,21 @@ class SpinModel:
             w_sector = w[start:start + len(idx)]
             start += len(idx)
             rho[np.ix_(idx, idx)] = _sym((evecs * w_sector) @ evecs.T)
-        self._last = (temperature, rho)
         return rho
 
     def negativity_pair(self, temperature: float, partition) -> tuple:
         """(E_N, E_l) across the partition at one temperature."""
         return negativity(self.thermal_rho(temperature), partition)
+
+    def negativity_grid(self, temperatures, partitions) -> np.ndarray:
+        """(E_N, E_l) of every cell, shape (temperatures, partitions, 2):
+        one thermal state per temperature serves all its partitions."""
+        grid = np.empty((len(temperatures), len(partitions), 2))
+        for i, temperature in enumerate(temperatures):
+            rho = self.thermal_rho(temperature)
+            for j, partition in enumerate(partitions):
+                grid[i, j] = negativity(rho, partition)
+        return grid
 
     def ppt_margin(self, temperature: float, partition) -> tuple:
         """(E_N, margin) from one spectrum of the partial transpose.
@@ -195,41 +197,64 @@ class SpinStarModel:
             ]
         return self._groupings[a]
 
-    def _cell(self, temperature: float, partition) -> tuple:
-        """(E_N, lowest eigenvalue) of the partial transpose."""
+    def _cells(self, temperatures, partition) -> np.ndarray:
+        """(E_N, lowest eigenvalue of the partial transpose) per
+        temperature, shape (temperatures, 2).  Each block's states are
+        stacked over the temperatures and solved by one eigvalsh."""
         labels = label_signs(partition)
         if len(labels) != self.n:
             raise ValueError(
                 f"partition of {len(labels)} sites does not match the {self.n}-site star"
             )
         blocks = self._grouping(int(np.count_nonzero(labels[1:] != labels[0])))
-        weights = [_boltzmann(exc, temperature) for _, _, exc, _ in blocks]
-        logs = [log_d + math.log(w.sum()) for (log_d, *_), w in zip(blocks, weights) if w.any()]
-        top = max(logs)
-        log_z = top + math.log(sum(math.exp(x - top) for x in logs))
-        scale = math.exp(-log_z)
-        e_n, lowest = 0.0, math.inf
-        for (log_d, shape, _, evecs), w in zip(blocks, weights):
-            rho = _sym((evecs * w) @ evecs.T)
-            pt = rho.reshape(shape * 2).transpose(0, 4, 2, 3, 1, 5).reshape(rho.shape)
-            # The state's eigenvalues are these over Z, each d times over
-            spectrum = np.linalg.eigvalsh(pt)
-            cutoff = min(NEGATIVE_EIGENVALUE_CUTOFF, -len(spectrum) * _EPS)
-            negative = spectrum[spectrum < cutoff * float(np.abs(spectrum).max())]
-            if negative.size:
-                e_n -= math.exp(log_d - log_z) * float(negative.sum())
-            lowest = min(lowest, float(spectrum[0]) * scale)
-        return e_n, lowest
+        largest = max(len(evecs) for *_, evecs in blocks) ** 2
+        temps = temperature_array(temperatures)
+        return stacked(lambda run: _star_cells(blocks, run), temps, largest)
 
     def negativity_pair(self, temperature: float, partition) -> tuple:
         """(E_N, E_l) across the partition at one temperature."""
-        e_n, _ = self._cell(temperature, partition)
+        e_n = float(self._cells([temperature], partition)[0, 0])
         return (e_n, math.log2(1.0 + e_n))
+
+    def negativity_grid(self, temperatures, partitions) -> np.ndarray:
+        """(E_N, E_l) of every cell, shape (temperatures, partitions, 2)."""
+        grid = np.empty((len(temperatures), len(partitions), 2))
+        for j, partition in enumerate(partitions):
+            for i, e_n in enumerate(self._cells(temperatures, partition)[:, 0].tolist()):
+                grid[i, j] = (e_n, math.log2(1.0 + e_n))
+        return grid
 
     def ppt_margin(self, temperature: float, partition) -> tuple:
         """(E_N, margin), the margin as in ``SpinModel.ppt_margin``."""
-        e_n, lowest = self._cell(temperature, partition)
+        e_n, lowest = self._cells([temperature], partition)[0].tolist()
         return (e_n, e_n if e_n > 0.0 else -lowest)
+
+
+def _star_cells(blocks: list, temperatures: np.ndarray) -> np.ndarray:
+    """``SpinStarModel._cells`` over one run of temperatures."""
+    weights = [_boltzmann(exc, temperatures) for _, _, exc, _ in blocks]
+    log_d = np.array([[block[0]] for block in blocks])
+    # log Z by a log-sum-exp over the blocks; a block without weight adds 0
+    with np.errstate(divide="ignore"):
+        logs = log_d + np.log([w.sum(axis=1) for w in weights])
+    top = logs.max(axis=0)
+    # Sums over the blocks run block after block, as they would for a
+    # single temperature: a sum over axis 0 is pairwise when it is
+    # contiguous, so one temperature and many would round differently.
+    log_z = top + np.log(np.cumsum(np.exp(logs - top), axis=0)[-1])
+    negative, lowest = [], []
+    for (_, shape, _, evecs), w in zip(blocks, weights):
+        rho = _sym((evecs * w[:, None, :]) @ evecs.T)
+        pt = rho.reshape((-1, *shape, *shape)).transpose(0, 1, 5, 3, 4, 2, 6).reshape(rho.shape)
+        # The state's eigenvalues are these over Z, each d times over
+        spectrum = np.linalg.eigvalsh(pt)
+        cutoff = min(NEGATIVE_EIGENVALUE_CUTOFF, -spectrum.shape[1] * _EPS)
+        largest = np.maximum(-spectrum[:, 0], spectrum[:, -1])
+        below = spectrum < cutoff * largest[:, None]
+        negative.append(np.where(below, spectrum, 0.0).sum(axis=1))
+        lowest.append(spectrum[:, 0])
+    e_n = 0.0 - np.cumsum(np.exp(log_d - log_z) * negative, axis=0)[-1]
+    return np.stack([e_n, np.min(lowest, axis=0) * np.exp(-log_z)], axis=1)
 
 
 def _multiplicities(k: int) -> list:

@@ -1,10 +1,12 @@
+import functools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from thermaneg import lattice
 from thermaneg.analysis import (
     EPS_PPT,
     NotEntangledError,
@@ -20,7 +22,14 @@ from thermaneg.analysis import (
 )
 from thermaneg.gaussian import GaussianModel
 from thermaneg.lattice import ModelSpec
-from thermaneg.partitions import central_vs_rest, even_odd, half_half
+from thermaneg.partitions import (
+    central_vs_rest,
+    even_odd,
+    from_mask,
+    half_half,
+    single_external_vs_rest,
+    transfer_sweep,
+)
 from thermaneg.spin import SpinModel, SpinStarModel
 
 RING = ModelSpec(kind="harmonic", topology="ring_nn", n_sites=8, c=0.4)
@@ -106,6 +115,46 @@ class TestSweep:
         assert good.error == ""
         assert "temperature" in bad.error
         assert math.isnan(bad.e_n) and not bad.is_ppt
+        # The grid refuses T = -1 on every engine, so each cell is then
+        # evaluated alone, and each row reads as that cell's own call.
+        temps = [0.5, -1.0, 1.5]
+        for spec, parts in [
+            (
+                ModelSpec(kind="spin_half", topology="star", n_sites=6, h=0.7),
+                [central_vs_rest(6), single_external_vs_rest(6, 3)],
+            ),
+            (
+                ModelSpec(kind="harmonic", topology="ring_nn", n_sites=16, c=0.4),
+                [even_odd(16), half_half(16), transfer_sweep(16)[3]],
+            ),
+        ]:
+            grid = sweep(spec, temps, parts)
+            engine = make_engine(spec)
+            assert [(r.temperature, r.partition_id) for r in grid.rows] == [
+                (t, p.id) for t in temps for p in parts
+            ]
+            for row, part in zip(grid.rows, parts * len(temps)):
+                if row.temperature == -1.0:
+                    assert row.error == "ValueError: temperature must be nonnegative, got -1.0"
+                    assert math.isnan(row.e_n) and math.isnan(row.e_l) and not row.is_ppt
+                else:
+                    e_n, e_l = engine.negativity_pair(row.temperature, part)
+                    assert (row.e_n, row.e_l, row.error) == (e_n, e_l, "")
+                    assert row.is_ppt == (e_n < EPS_PPT)
+
+    def test_clean_grid_takes_one_engine_call(self, monkeypatch):
+        calls = []
+        grid = GaussianModel.negativity_grid
+        monkeypatch.setattr(
+            GaussianModel,
+            "negativity_grid",
+            lambda self, ts, ps: calls.append((len(ts), len(ps))) or grid(self, ts, ps),
+        )
+        monkeypatch.setattr(
+            GaussianModel, "negativity_pair", lambda *args: pytest.fail("per-cell call")
+        )
+        assert len(sweep(RING, [0.2, 0.5, 0.0], [even_odd(8), half_half(8)]).rows) == 6
+        assert calls == [(3, 2)]
 
     def test_duplicate_inputs_rejected(self):
         with pytest.raises(ValueError):
@@ -116,6 +165,90 @@ class TestSweep:
     def test_empty_schedule_gives_empty_grid(self):
         grid = sweep(RING, [], [even_odd(8)])
         assert grid.rows == ()
+
+
+# spec and the largest gap allowed between a grid cell and its own
+# negativity_pair, on each engine
+GRID_MODELS = {
+    "spin-star": (ModelSpec(kind="spin_half", topology="star", n_sites=7, h=0.7), 1e-14),
+    "spin-ring": (ModelSpec(kind="spin_half", topology="ring_nn", n_sites=6, h=0.3), 1e-14),
+    "harmonic-ring": (ModelSpec(kind="harmonic", topology="ring_nn", n_sites=12, c=0.4), 1e-13),
+    "harmonic-star": (ModelSpec(kind="harmonic", topology="star", n_sites=7, c=1.0), 1e-13),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def grid_engine(name):
+    return make_engine(GRID_MODELS[name][0])
+
+
+@st.composite
+def grid_inputs(draw):
+    name = draw(st.sampled_from(sorted(GRID_MODELS)))
+    n = GRID_MODELS[name][0].n_sites
+    masks = draw(
+        st.lists(
+            st.text("+-", min_size=n, max_size=n).filter(lambda m: "+" in m and "-" in m),
+            min_size=1,
+            max_size=4,
+            unique=True,
+        )
+    )
+    temps = draw(
+        st.lists(
+            st.one_of(st.sampled_from([0.0, math.inf]), st.floats(0.05, 6.0)),
+            min_size=1,
+            max_size=6,
+            unique=True,
+        )
+    )
+    return name, masks, temps
+
+
+class TestNegativityGrid:
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(grid_inputs())
+    @example(("spin-star", ["+------", "-+-----"], [0.0, 0.4, math.inf]))
+    @example(("harmonic-ring", ["++--++--++--", "+-+-+-+-+-+-", "+++-+--+-++-"], [0.7]))
+    def test_grid_equals_its_cells(self, inputs):
+        name, masks, temps = inputs
+        spec, tol = GRID_MODELS[name]
+        engine = grid_engine(name)
+        parts = [from_mask(m, spec.topology) for m in masks]
+        grid = engine.negativity_grid(temps, parts)
+        assert grid.shape == (len(temps), len(parts), 2)
+        for i, t in enumerate(temps):
+            for j, p in enumerate(parts):
+                e_n, e_l = engine.negativity_pair(t, p)
+                assert abs(grid[i, j, 0] - e_n) <= tol
+                assert abs(grid[i, j, 1] - e_l) <= tol
+                assert (grid[i, j, 0] < EPS_PPT) == (e_n < EPS_PPT)
+
+    @pytest.mark.parametrize(
+        "spec, parts, entries",
+        [
+            # blocks of 16 states (central) and 28 (external) at 8 sites
+            (ModelSpec(kind="spin_half", topology="star", n_sites=8, h=0.4),
+             [central_vs_rest(8), single_external_vs_rest(8, 2)], 600),
+            # per temperature a dense solve of 144 entries, mirror halves
+            # of 36 and Bloch blocks of 48 (complex, so 2 * 48 floats)
+            (ModelSpec(kind="harmonic", topology="ring_nn", n_sites=12, c=0.4),
+             [from_mask("+++-+--+-++-"), half_half(12), even_odd(12)], 100),
+        ],
+        ids=["spin-star", "harmonic-ring"],
+    )
+    @pytest.mark.parametrize("one", [True, False], ids=["one", "two"])
+    def test_chunked_grid_equals_one_stack(self, monkeypatch, spec, parts, entries, one):
+        temps = [0.0, 0.3, 0.7, 1.1, 2.0, 4.5, math.inf]
+        engine = make_engine(spec)
+        whole = engine.negativity_grid(temps, parts)
+        stacks = []
+        solve = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: stacks.append(len(m)) or solve(m))
+        monkeypatch.setattr(lattice, "STACK_ENTRIES", 1 if one else entries)
+        chunked = engine.negativity_grid(temps, parts)
+        assert set(stacks) == ({1} if one else {1, 2})
+        assert np.abs(chunked - whole).max() <= 1e-15
 
 
 class TestThreshold:

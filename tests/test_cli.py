@@ -145,17 +145,18 @@ class TestSweepCommand:
         assert text == SWEEP_HEADER + "\n"
 
     def test_failing_cell_reports_partial_exit(self, tmp_path, capsys, monkeypatch):
-        # every schedule the CLI accepts is valid input, so the engine is
-        # made to fail in one cell, with a comma and a line break in its
-        # message
-        pair = GaussianModel.negativity_pair
+        # every schedule the CLI accepts is valid input, so the engine's
+        # kernel is made to fail wherever it meets T = 1, with a comma and
+        # a line break in its message: the grid fails, and so does the
+        # one cell at T = 1
+        spectrum = GaussianModel._spectrum
 
-        def fail_at_one(self, t, p):
-            if t == 1.0:
+        def fail_at_one(self, temperatures, p):
+            if 1.0 in temperatures:
                 raise ValueError("cell failed,\non purpose")
-            return pair(self, t, p)
+            return spectrum(self, temperatures, p)
 
-        monkeypatch.setattr(GaussianModel, "negativity_pair", fail_at_one)
+        monkeypatch.setattr(GaussianModel, "_spectrum", fail_at_one)
         code, text = run(
             tmp_path,
             "sweep",

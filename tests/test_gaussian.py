@@ -296,7 +296,7 @@ class TestBlochRoute:
     )
     def test_other_inputs_take_one_dense_solve(self, eigvalsh_shapes, v, p):
         GaussianModel(v).negativity_pair(0.5, p)
-        assert eigvalsh_shapes == [(v.n, v.n)]
+        assert eigvalsh_shapes == [(1, v.n, v.n)]
 
     @pytest.mark.parametrize("t", [-0.1, math.nan])
     def test_invalid_temperature_rejected(self, t):
@@ -348,8 +348,8 @@ class TestMirrorRoute:
     def test_mirror_partitions_solve_two_half_blocks(self, eigvalsh_shapes, v, p):
         GaussianModel(v).negativity_pair(0.5, p)
         assert len(eigvalsh_shapes) == 2
-        assert all(shape[0] <= v.n // 2 + 1 for shape in eigvalsh_shapes)
-        assert sum(shape[0] for shape in eigvalsh_shapes) == v.n
+        assert all(shape[0] == 1 and shape[1] <= v.n // 2 + 1 for shape in eigvalsh_shapes)
+        assert sum(shape[1] for shape in eigvalsh_shapes) == v.n
 
     def test_seeded_mask_has_neither_a_period_nor_a_mirror(self):
         assert not reflections(ASYMMETRIC_256.labels)
@@ -374,12 +374,13 @@ class TestMirrorRoute:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(np.linalg, "eigvalsh", lambda m: shapes.append(m.shape) or solve(m))
             e_l = model.log_negativity(0.3, signs)
+        # each solve stacks the one temperature on a leading axis
         if has_period(signs):
-            assert len(shapes) == 1 and len(shapes[0]) == 3
+            assert len(shapes) == 1 and len(shapes[0]) == 4
         elif reflections(signs):
-            assert len(shapes) == 2 and shapes[0][0] + shapes[1][0] == n
+            assert len(shapes) == 2 and shapes[0][1] + shapes[1][1] == n
         else:
-            assert shapes == [(n, n)]
+            assert shapes == [(1, n, n)]
         for moved in (np.roll(signs, shift % n), signs[::-1]):
             assert model.log_negativity(0.3, moved) == pytest.approx(e_l, abs=1e-12)
 
@@ -403,7 +404,7 @@ class TestRingBuild:
         for p in (even_odd(n), half_half(n), transfer_sweep(n)[3], asymmetric):
             model.negativity_pair(0.5, p)
         assert eigh_shapes == []
-        assert (n, n) in eigvalsh_shapes
+        assert (1, n, n) in eigvalsh_shapes
 
     @pytest.mark.parametrize("c", [0.5, 0.6, -0.6])
     def test_circulant_that_is_not_positive_definite_is_refused(self, c):
@@ -471,7 +472,7 @@ class TestPotentialSpectrum:
     def test_bare_array_matches_its_potential_matrix_bit_for_bit(self, v, p):
         wrapped, bare = GaussianModel(v), GaussianModel(np.array(v.entries))
         for t in (0.0, 0.5, 2.0):
-            assert np.array_equal(wrapped._spectrum(t, p), bare._spectrum(t, p))
+            assert np.array_equal(wrapped._spectrum([t], p), bare._spectrum([t], p))
 
     @pytest.mark.parametrize(
         "v",

@@ -161,9 +161,16 @@ class TestThermalState:
         assert model.negativity_pair(math.inf, even_odd(4)) == (0.0, 0.0)
         assert model.ppt_margin(math.inf, even_odd(4))[0] == 0.0
 
-    def test_repeated_temperature_reuses_the_cached_matrix(self):
-        model = SpinModel(ring(3))
-        assert model.thermal_rho(0.8) is model.thermal_rho(0.8)
+    def test_grid_builds_one_thermal_state_per_temperature(self, monkeypatch):
+        model = SpinModel(ring(6))
+        temps = []
+        build = SpinModel.thermal_rho
+        monkeypatch.setattr(
+            SpinModel, "thermal_rho", lambda self, t: temps.append(t) or build(self, t)
+        )
+        grid = model.negativity_grid([0.4, 1.3], [even_odd(6), half_half(6), transfer_sweep(6)[2]])
+        assert grid.shape == (2, 3, 2)
+        assert temps == [0.4, 1.3]
 
 
 class TestPartialTranspose:
