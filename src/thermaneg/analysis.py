@@ -4,9 +4,12 @@ diagnostics built on top of the two negativity engines.
 A partition counts as PPT when its E_N drops below ``EPS_PPT``; the
 same constant drives sweep flags, threshold brackets, and window
 verification so that every module reaches identical verdicts.
-Thresholds are found by one root finder (``_root``): a coarse guard
-scan, then safeguarded secant steps on a continuous margin, with the
-bracket moved by the verdict alone.
+Every engine has one evaluation method, ``negativity_grid``, which
+gives E_N, E_l and a signed PPT margin per (temperature, partition)
+cell.  Thresholds are found by one root finder (``_root``): a coarse
+guard scan, taken as one grid call, then safeguarded secant steps on
+the margin, one 1 x 1 grid call each, with the bracket moved by the
+verdict alone.
 """
 
 from __future__ import annotations
@@ -93,7 +96,7 @@ class ThresholdResult:
     with bracket width at most the requested tolerance, or its ends are
     adjacent floats when the tolerance is below float resolution;
     t_threshold is the bracket midpoint.  ``evaluations`` counts the
-    engine spectra taken, guard scan included.
+    temperatures evaluated, guard scan included.
     """
 
     partition_id: str
@@ -248,9 +251,10 @@ def sweep(spec: ModelSpec, temperatures, partitions, engine=None) -> SweepGrid:
 
     def evaluate(t, part):
         try:
-            return row(t, part, *engine.negativity_pair(t, part))
+            e_n, e_l, _ = engine.negativity_grid([t], [part])[0, 0].tolist()
         except Exception as exc:  # recorded per cell, grid continues
             return row(t, part, math.nan, math.nan, f"{type(exc).__name__}: {exc}")
+        return row(t, part, e_n, e_l)
 
     try:
         values = engine.negativity_grid(temperatures, partitions).tolist()
@@ -260,7 +264,7 @@ def sweep(spec: ModelSpec, temperatures, partitions, engine=None) -> SweepGrid:
         rows = tuple(
             row(t, p, e_n, e_l)
             for t, cells in zip(temperatures, values)
-            for p, (e_n, e_l) in zip(partitions, cells)
+            for p, (e_n, e_l, _) in zip(partitions, cells)
         )
     return SweepGrid(spec=spec, rows=rows)
 
@@ -275,11 +279,12 @@ def threshold_temperature(
 ) -> ThresholdResult:
     """Temperature where the partition's negativity dies out.
 
-    A guard scan over 8 equally spaced temperatures
-    locates the largest-T cell where the verdict E_N > EPS_PPT falls,
-    and secant steps on the engine's ``ppt_margin`` narrow the bracket
-    below ``tol`` (see ``_root``).  The partition must be entangled at
-    ``t_lo`` and PPT at ``t_hi``; each failure mode gets its own
+    A guard scan over 8 equally spaced temperatures, one
+    ``negativity_grid`` call, locates the largest-T cell where the
+    verdict E_N > EPS_PPT falls, and secant steps on the grid's margin
+    column, one 1 x 1 call each, narrow the bracket below ``tol`` (see
+    ``_root``).  The partition must be entangled at ``t_lo`` and PPT at
+    ``t_hi``, the two ends of the scan; each failure mode gets its own
     message.  Should the scan see several sign changes, the largest-T
     one is refined and a warning is attached.  A ``tol`` that is not
     positive, or a bracket that is not finite with t_lo < t_hi, raises
@@ -294,30 +299,25 @@ def threshold_temperature(
         engine = make_engine(spec)
     evaluations = 0
 
-    def e_n_and_margin(t: float) -> tuple:
+    def cells(ts: list) -> list:
+        """(verdict, margin less EPS_PPT, E_N) at each temperature."""
         nonlocal evaluations
-        evaluations += 1
-        e_n, margin = engine.ppt_margin(t, partition)
-        return e_n, margin - EPS_PPT
+        evaluations += len(ts)
+        values = engine.negativity_grid(ts, [partition])[:, 0].tolist()
+        return [(e_n > EPS_PPT, margin - EPS_PPT, e_n) for e_n, _, margin in values]
 
-    def probe(t: float) -> tuple:
-        e_n, margin = e_n_and_margin(t)
-        return e_n > EPS_PPT, margin
-
-    lo_val, lo_margin = e_n_and_margin(t_lo)
+    ts = [float(t) for t in np.linspace(t_lo, t_hi, 8)]
+    scan = cells(ts)
+    lo_val, hi_val = scan[0][2], scan[-1][2]
     if lo_val <= EPS_PPT:
         raise NotEntangledError(
             f"not entangled at T_lo={t_lo:g} (E_N={lo_val:.3e}); no threshold to find"
         )
-    hi_val, hi_margin = e_n_and_margin(t_hi)
     if hi_val > EPS_PPT:
         raise ThresholdError(
             f"still entangled at T_hi={t_hi:g} (E_N={hi_val:.3e}); enlarge the bracket"
         )
-
-    ts = [float(t) for t in np.linspace(t_lo, t_hi, 8)]
-    scan = [(True, lo_margin)] + [probe(t) for t in ts[1:-1]] + [(False, hi_margin)]
-    lo, hi, warning = _root(probe, ts, scan, tol)
+    lo, hi, warning = _root(lambda t: cells([t])[0][:2], ts, scan, tol)
     return ThresholdResult(
         partition_id=partition.id,
         t_threshold=0.5 * (lo + hi),

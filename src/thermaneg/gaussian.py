@@ -38,7 +38,9 @@ picked from its input with no option:
 
 The mirror and dense routes share one kernel, which forms U^T P U as
 +-(I - 2 U_S^T U_S) from the rows of the smaller sign class S.  All
-three give the one ascending spectrum that E_l and the PPT margin read.
+three give one ascending spectrum per temperature, from which
+``GaussianModel.negativity_grid``, the model's one evaluation method,
+reads E_N, E_l and the PPT margin of each cell.
 
 Tests check all three against the sign-flip oracle in tests/oracles.py.
 """
@@ -162,36 +164,23 @@ class GaussianModel:
         odd = _dense_spectrum(u[:, e:], s[e:], temperatures, signs)
         return np.sort(np.concatenate([even, odd], axis=1), axis=1)
 
-    def log_negativity(self, temperature: float, partition) -> float:
-        """Spectral-route E_l in bits across the given partition."""
-        return _log_gain(self._spectrum([temperature], partition)[0])
-
-    def negativity_pair(self, temperature: float, partition) -> tuple:
-        """(E_N, E_l) with E_N = 2**E_l - 1."""
-        el = self.log_negativity(temperature, partition)
-        return (_negativity(el), el)
-
     def negativity_grid(self, temperatures, partitions) -> np.ndarray:
-        """(E_N, E_l) of every cell, shape (temperatures, partitions, 2)."""
-        grid = np.empty((len(temperatures), len(partitions), 2))
+        """(E_N, E_l, margin) of every cell, shape (temperatures,
+        partitions, 3), all three read from one spectrum of A A^T.
+
+        E_l sums log2 over the eigenvalues above 1 and E_N = 2**E_l - 1.
+        The margin is lambda_max(A A^T) - 1: positive exactly where some
+        eigenvalue exceeds 1, and smooth through the PPT threshold, where
+        E_N, a sum over the modes that are still entangled, can set in
+        with a power law.  On the Bloch route lambda_max is the largest
+        top eigenvalue over the momentum blocks.
+        """
+        grid = np.empty((len(temperatures), len(partitions), 3))
         for j, partition in enumerate(partitions):
             for i, ev in enumerate(self._spectrum(temperatures, partition)):
                 el = _log_gain(ev)
-                grid[i, j] = (_negativity(el), el)
+                grid[i, j] = (_negativity(el), el, ev[-1] - 1.0)
         return grid
-
-    def ppt_margin(self, temperature: float, partition) -> tuple:
-        """(E_N, lambda_max(A A^T) - 1) from one spectrum.
-
-        The margin is positive exactly where some eigenvalue exceeds 1
-        and varies smoothly through the PPT threshold, where E_N, a sum
-        over the modes that are still entangled, can set in with a
-        power law.  On the Bloch route lambda_max is the largest top
-        eigenvalue over the momentum blocks.
-        """
-        ev = self._spectrum([temperature], partition)[0]
-        return (_negativity(_log_gain(ev)), float(ev[-1]) - 1.0)
-
 
 def _weights(s: np.ndarray, temperatures: np.ndarray) -> np.ndarray:
     """Diagonal of W(T) for the mode frequencies s, one row per

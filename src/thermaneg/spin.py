@@ -121,22 +121,11 @@ class SpinModel:
             rho[np.ix_(idx, idx)] = _sym((evecs * w_sector) @ evecs.T)
         return rho
 
-    def negativity_pair(self, temperature: float, partition) -> tuple:
-        """(E_N, E_l) across the partition at one temperature."""
-        return negativity(self.thermal_rho(temperature), partition)
-
     def negativity_grid(self, temperatures, partitions) -> np.ndarray:
-        """(E_N, E_l) of every cell, shape (temperatures, partitions, 2):
-        one thermal state per temperature serves all its partitions."""
-        grid = np.empty((len(temperatures), len(partitions), 2))
-        for i, temperature in enumerate(temperatures):
-            rho = self.thermal_rho(temperature)
-            for j, partition in enumerate(partitions):
-                grid[i, j] = negativity(rho, partition)
-        return grid
-
-    def ppt_margin(self, temperature: float, partition) -> tuple:
-        """(E_N, margin) from one spectrum of the partial transpose.
+        """(E_N, E_l, margin) of every cell, shape (temperatures,
+        partitions, 3): one thermal state per temperature serves all its
+        partitions, and one spectrum of the partial transpose gives a
+        cell's three values.
 
         The margin is E_N while some eigenvalue lies below the cutoff
         and -lambda_min otherwise, so it falls through 0 where E_N
@@ -144,9 +133,13 @@ class SpinModel:
         alone misplaces the root when the lowest eigenvalue is
         degenerate (E_N = 2 |lambda_min| for a pair).
         """
-        spectrum = _pt_spectrum(self.thermal_rho(temperature), partition)
-        e_n = _e_n(spectrum)
-        return (e_n, e_n if e_n > 0.0 else -float(spectrum.min()))
+        grid = np.empty((len(temperatures), len(partitions), 3))
+        for i, temperature in enumerate(temperatures):
+            rho = self.thermal_rho(temperature)
+            for j, partition in enumerate(partitions):
+                spectrum = _pt_spectrum(rho, partition)
+                grid[i, j] = _cell(_e_n(spectrum), float(spectrum.min()))
+        return grid
 
 
 class SpinStarModel:
@@ -211,23 +204,21 @@ class SpinStarModel:
         temps = temperature_array(temperatures)
         return stacked(lambda run: _star_cells(blocks, run), temps, largest)
 
-    def negativity_pair(self, temperature: float, partition) -> tuple:
-        """(E_N, E_l) across the partition at one temperature."""
-        e_n = float(self._cells([temperature], partition)[0, 0])
-        return (e_n, math.log2(1.0 + e_n))
-
     def negativity_grid(self, temperatures, partitions) -> np.ndarray:
-        """(E_N, E_l) of every cell, shape (temperatures, partitions, 2)."""
-        grid = np.empty((len(temperatures), len(partitions), 2))
+        """(E_N, E_l, margin) of every cell, shape (temperatures,
+        partitions, 3), the margin as in ``SpinModel.negativity_grid``."""
+        grid = np.empty((len(temperatures), len(partitions), 3))
         for j, partition in enumerate(partitions):
-            for i, e_n in enumerate(self._cells(temperatures, partition)[:, 0].tolist()):
-                grid[i, j] = (e_n, math.log2(1.0 + e_n))
+            for i, (e_n, lowest) in enumerate(self._cells(temperatures, partition).tolist()):
+                grid[i, j] = _cell(e_n, lowest)
         return grid
 
-    def ppt_margin(self, temperature: float, partition) -> tuple:
-        """(E_N, margin), the margin as in ``SpinModel.ppt_margin``."""
-        e_n, lowest = self._cells([temperature], partition)[0].tolist()
-        return (e_n, e_n if e_n > 0.0 else -lowest)
+
+def _cell(e_n: float, lowest: float) -> tuple:
+    """(E_N, E_l, margin) from E_N and the lowest eigenvalue of the
+    partial transpose: the margin is E_N where it is positive and
+    -lowest otherwise."""
+    return (e_n, math.log2(1.0 + e_n), e_n if e_n > 0.0 else -lowest)
 
 
 def _star_cells(blocks: list, temperatures: np.ndarray) -> np.ndarray:

@@ -8,6 +8,11 @@ overall verdict is readable without digging through tracebacks.
 ACCEPTANCE_RECORDS = []
 
 
+def cell(engine, temperature, partition) -> tuple:
+    """(E_N, E_l, margin) of one cell, read from a 1 x 1 negativity_grid."""
+    return tuple(engine.negativity_grid([temperature], [partition])[0, 0].tolist())
+
+
 def record_acceptance(name: str, passed: bool, detail: str = "") -> None:
     ACCEPTANCE_RECORDS.append((name, bool(passed), detail))
 

@@ -11,7 +11,7 @@ import math
 import time
 
 import numpy as np
-from conftest import record_acceptance
+from conftest import cell, record_acceptance
 from oracles import (
     log_negativity_symplectic_oracle,
     single_mode_negativity,
@@ -82,7 +82,7 @@ def test_dual_route_agreement_between_spectral_and_transpose():
             for p in ring_partitions(n, rng):
                 t = 0.0 if rng.random() < 0.15 else float(rng.uniform(0.0, 5.0))
                 gap = abs(
-                    GaussianModel(v).log_negativity(t, p)
+                    cell(GaussianModel(v), t, p)[1]
                     - log_negativity_symplectic_oracle(v, t, p)
                 )
                 worst = max(worst, gap)
@@ -93,7 +93,7 @@ def test_dual_route_agreement_between_spectral_and_transpose():
             for p in star_partitions(n):
                 t = 0.0 if rng.random() < 0.15 else float(rng.uniform(0.0, 5.0))
                 gap = abs(
-                    GaussianModel(v).log_negativity(t, p)
+                    cell(GaussianModel(v), t, p)[1]
                     - log_negativity_symplectic_oracle(v, t, p)
                 )
                 worst = max(worst, gap)
@@ -108,7 +108,7 @@ def test_dual_route_agreement_between_spectral_and_transpose():
 
 def test_two_site_ground_state_closed_form():
     c = 0.4
-    el = GaussianModel(build_ring_potential(2, c)).log_negativity(0.0, half_half(2))
+    el = cell(GaussianModel(build_ring_potential(2, c)), 0.0, half_half(2))[1]
     expected = 0.5 * math.log2((1 + c) / (1 - c))
     check(
         "two-site ground-state closed form",
@@ -232,7 +232,7 @@ def test_threshold_gap_uniform_on_ring_size_dependent_on_star():
 def spin_star_curve(n, partition, temps):
     spec = ModelSpec(kind="spin_half", topology="star", n_sites=n, h=0.0)
     engine = make_engine(spec)
-    return np.array([engine.negativity_pair(t, partition)[0] for t in temps])
+    return np.array([cell(engine, t, partition)[0] for t in temps])
 
 
 def external_crossing(n_small, n_large, t_range=(1.5, 3.0), tol=1e-4):
@@ -363,7 +363,7 @@ def test_ring_area_pattern_sharpens_toward_the_threshold():
 
 def test_two_qubit_ground_state_negativity_is_one_half():
     spec = ModelSpec(kind="spin_half", topology="ring_nn", n_sites=2, h=0.0)
-    e_n, _ = make_engine(spec).negativity_pair(0.0, half_half(2))
+    e_n = cell(make_engine(spec), 0.0, half_half(2))[0]
     check(
         "two-qubit ground-state negativity is one half",
         abs(e_n - 0.5) < 1e-10,
@@ -408,13 +408,13 @@ def test_factorizability_zero_on_products_locked_on_the_block_grid():
     )
 
 
-def test_preset_output_is_identical_at_any_parallelism(tmp_path):
-    out1, out4 = tmp_path / "serial.csv", tmp_path / "parallel.csv"
-    code1 = cli_main(["reproduce", "fig2", "--out", str(out1)])
-    code4 = cli_main(["reproduce", "fig2", "--out", str(out4)])
-    identical = out1.read_bytes() == out4.read_bytes()
+def test_repeat_preset_runs_are_byte_identical(tmp_path):
+    first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+    code1 = cli_main(["reproduce", "fig2", "--out", str(first)])
+    code2 = cli_main(["reproduce", "fig2", "--out", str(second)])
+    identical = first.read_bytes() == second.read_bytes()
     check(
-        "preset output identical at any parallelism",
-        code1 == 0 and code4 == 0 and identical,
-        f"exit codes ({code1}, {code4}), byte-identical={identical}",
+        "repeat preset runs byte-identical",
+        code1 == 0 and code2 == 0 and identical,
+        f"exit codes ({code1}, {code2}), byte-identical={identical}",
     )

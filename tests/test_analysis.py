@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import cell
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -40,8 +41,21 @@ def assert_bracket_contract(engine, partition, res):
     lo, hi = res.bracket
     assert lo < hi and hi - lo <= res.tolerance
     assert res.t_threshold == 0.5 * (lo + hi)
-    assert engine.ppt_margin(lo, partition)[0] > EPS_PPT
-    assert engine.ppt_margin(hi, partition)[0] <= EPS_PPT
+    assert cell(engine, lo, partition)[0] > EPS_PPT
+    assert cell(engine, hi, partition)[0] <= EPS_PPT
+
+
+@pytest.fixture
+def grid_calls(monkeypatch):
+    """Record (temperatures, partitions) of every GaussianModel grid call."""
+    calls = []
+    grid = GaussianModel.negativity_grid
+    monkeypatch.setattr(
+        GaussianModel,
+        "negativity_grid",
+        lambda self, ts, ps: calls.append((len(ts), len(ps))) or grid(self, ts, ps),
+    )
+    return calls
 
 
 def even_odd_closed_form(c: float) -> float:
@@ -138,23 +152,13 @@ class TestSweep:
                     assert row.error == "ValueError: temperature must be nonnegative, got -1.0"
                     assert math.isnan(row.e_n) and math.isnan(row.e_l) and not row.is_ppt
                 else:
-                    e_n, e_l = engine.negativity_pair(row.temperature, part)
+                    e_n, e_l, _ = cell(engine, row.temperature, part)
                     assert (row.e_n, row.e_l, row.error) == (e_n, e_l, "")
                     assert row.is_ppt == (e_n < EPS_PPT)
 
-    def test_clean_grid_takes_one_engine_call(self, monkeypatch):
-        calls = []
-        grid = GaussianModel.negativity_grid
-        monkeypatch.setattr(
-            GaussianModel,
-            "negativity_grid",
-            lambda self, ts, ps: calls.append((len(ts), len(ps))) or grid(self, ts, ps),
-        )
-        monkeypatch.setattr(
-            GaussianModel, "negativity_pair", lambda *args: pytest.fail("per-cell call")
-        )
+    def test_clean_grid_takes_one_engine_call(self, grid_calls):
         assert len(sweep(RING, [0.2, 0.5, 0.0], [even_odd(8), half_half(8)]).rows) == 6
-        assert calls == [(3, 2)]
+        assert grid_calls == [(3, 2)]
 
     def test_duplicate_inputs_rejected(self):
         with pytest.raises(ValueError):
@@ -167,25 +171,24 @@ class TestSweep:
         assert grid.rows == ()
 
 
-# spec and the largest gap allowed between a grid cell and its own
-# negativity_pair, on each engine
+# one model per engine and topology
 GRID_MODELS = {
-    "spin-star": (ModelSpec(kind="spin_half", topology="star", n_sites=7, h=0.7), 1e-14),
-    "spin-ring": (ModelSpec(kind="spin_half", topology="ring_nn", n_sites=6, h=0.3), 1e-14),
-    "harmonic-ring": (ModelSpec(kind="harmonic", topology="ring_nn", n_sites=12, c=0.4), 1e-13),
-    "harmonic-star": (ModelSpec(kind="harmonic", topology="star", n_sites=7, c=1.0), 1e-13),
+    "spin-star": ModelSpec(kind="spin_half", topology="star", n_sites=7, h=0.7),
+    "spin-ring": ModelSpec(kind="spin_half", topology="ring_nn", n_sites=6, h=0.3),
+    "harmonic-ring": ModelSpec(kind="harmonic", topology="ring_nn", n_sites=12, c=0.4),
+    "harmonic-star": ModelSpec(kind="harmonic", topology="star", n_sites=7, c=1.0),
 }
 
 
 @functools.lru_cache(maxsize=None)
 def grid_engine(name):
-    return make_engine(GRID_MODELS[name][0])
+    return make_engine(GRID_MODELS[name])
 
 
 @st.composite
 def grid_inputs(draw):
     name = draw(st.sampled_from(sorted(GRID_MODELS)))
-    n = GRID_MODELS[name][0].n_sites
+    n = GRID_MODELS[name].n_sites
     masks = draw(
         st.lists(
             st.text("+-", min_size=n, max_size=n).filter(lambda m: "+" in m and "-" in m),
@@ -212,17 +215,13 @@ class TestNegativityGrid:
     @example(("harmonic-ring", ["++--++--++--", "+-+-+-+-+-+-", "+++-+--+-++-"], [0.7]))
     def test_grid_equals_its_cells(self, inputs):
         name, masks, temps = inputs
-        spec, tol = GRID_MODELS[name]
         engine = grid_engine(name)
-        parts = [from_mask(m, spec.topology) for m in masks]
+        parts = [from_mask(m, GRID_MODELS[name].topology) for m in masks]
         grid = engine.negativity_grid(temps, parts)
-        assert grid.shape == (len(temps), len(parts), 2)
+        assert grid.shape == (len(temps), len(parts), 3)
         for i, t in enumerate(temps):
             for j, p in enumerate(parts):
-                e_n, e_l = engine.negativity_pair(t, p)
-                assert abs(grid[i, j, 0] - e_n) <= tol
-                assert abs(grid[i, j, 1] - e_l) <= tol
-                assert (grid[i, j, 0] < EPS_PPT) == (e_n < EPS_PPT)
+                assert tuple(grid[i, j].tolist()) == cell(engine, t, p)
 
     @pytest.mark.parametrize(
         "spec, parts, entries",
@@ -332,13 +331,19 @@ class TestThreshold:
             found.append(res.t_threshold)
         assert max(found) - min(found) <= 1e-12
 
+    def test_guard_scan_is_one_engine_call(self, grid_calls):
+        res = threshold_temperature(RING, even_odd(8))
+        assert grid_calls[0] == (8, 1)
+        assert set(grid_calls[1:]) == {(1, 1)}
+        assert res.evaluations == sum(t for t, _ in grid_calls)
+
     def test_tolerance_below_float_resolution_still_returns(self):
         engine = make_engine(RING)
         res = threshold_temperature(RING, even_odd(8), tol=1e-300, engine=engine)
         lo, hi = res.bracket
         assert hi == np.nextafter(lo, math.inf)
-        assert engine.negativity_pair(lo, even_odd(8))[0] > EPS_PPT
-        assert engine.negativity_pair(hi, even_odd(8))[0] <= EPS_PPT
+        assert cell(engine, lo, even_odd(8))[0] > EPS_PPT
+        assert cell(engine, hi, even_odd(8))[0] <= EPS_PPT
         assert res.t_threshold in (lo, hi)
 
 
@@ -348,8 +353,9 @@ class StubEngine:
     def __init__(self, e_n, margin):
         self.e_n, self.margin = e_n, margin
 
-    def ppt_margin(self, temperature, partition):
-        return self.e_n(temperature), self.margin(temperature)
+    def negativity_grid(self, temperatures, partitions):
+        # one partition; E_l is never read by the threshold search
+        return np.array([[(self.e_n(t), math.nan, self.margin(t))] for t in temperatures])
 
 
 def evaluation_bound(t_lo, t_hi, tol, scan_points=8):

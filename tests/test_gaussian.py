@@ -4,6 +4,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from conftest import cell
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
@@ -39,7 +40,7 @@ def random_spd(rng, n):
 
 
 def log_negativity_spectral(v, t, p):
-    return GaussianModel(v).log_negativity(t, p)
+    return cell(GaussianModel(v), t, p)[1]
 
 
 def matrix_sqrt_pair(v):
@@ -128,40 +129,39 @@ class TestLogNegativity:
         model = GaussianModel(v)
         for t in (0.0, 0.5):
             for p in (even_odd(6), half_half(6)):
-                assert model.log_negativity(t, p) == pytest.approx(
+                assert cell(model, t, p)[1] == pytest.approx(
                     log_negativity_spectral(v, t, p), abs=1e-13
                 )
 
-    def test_negativity_pair_consistency(self):
+    def test_negativity_and_log_negativity_consistency(self):
         model = GaussianModel(build_ring_potential(8, 0.4))
-        e_n, e_l = model.negativity_pair(0.3, half_half(8))
+        e_n, e_l, _ = cell(model, 0.3, half_half(8))
         assert e_n == pytest.approx(2.0**e_l - 1.0, rel=1e-12)
 
     def test_partition_size_mismatch_rejected(self):
         model = GaussianModel(build_ring_potential(8, 0.4))
         with pytest.raises(ValueError):
-            model.log_negativity(0.3, half_half(6))
+            cell(model, 0.3, half_half(6))
 
     @pytest.mark.parametrize("bad", [0.0, 2.0, math.nan], ids=["zero", "two", "nan"])
     def test_labels_other_than_plus_minus_one_rejected(self, bad):
         # raw labels must mean what Partition labels mean on both engines
         model = GaussianModel(build_ring_potential(8, 0.4))
         labels = [bad, -1, 1, -1, 1, -1, 1, -1]
-        for call in (model.negativity_pair, model.ppt_margin):
-            with pytest.raises(ValueError, match="partition labels must be"):
-                call(0.5, labels)
+        with pytest.raises(ValueError, match="partition labels must be"):
+            cell(model, 0.5, labels)
 
     def test_nan_temperature_rejected(self):
         model = GaussianModel(build_ring_potential(8, 0.4))
         with pytest.raises(ValueError, match="temperature must be nonnegative"):
-            model.log_negativity(math.nan, half_half(8))
+            cell(model, math.nan, half_half(8))
 
     def test_infinite_temperature_is_separable_without_warnings(self):
         model = GaussianModel(build_ring_potential(8, 0.4))
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             for t in (math.inf, 1.0 / 1e-320, 1e308):
-                assert model.negativity_pair(t, even_odd(8)) == (0.0, 0.0)
+                assert cell(model, t, even_odd(8))[:2] == (0.0, 0.0)
 
 
 class TestSymplecticOracle:
@@ -191,7 +191,7 @@ class TestSymplecticOracle:
             ).t_threshold
             values = []
             for t in (0.5 * t_th, 0.97 * t_th, 1.03 * t_th):
-                e_l = model.log_negativity(t, p)
+                e_l = cell(model, t, p)[1]
                 oracle = log_negativity_symplectic_oracle(v, t, p)
                 assert e_l == pytest.approx(oracle, abs=1e-10)
                 assert (2.0**e_l - 1.0 < EPS_PPT) == (2.0**oracle - 1.0 < EPS_PPT)
@@ -234,8 +234,8 @@ def assert_matches_dense_around_each_threshold(n, partitions):
                 ev = dense(t, p)
                 gains = ev[ev > 1.0 + 1e-12]
                 e_l = float(np.sum(np.log2(gains)))
-                e_n, margin = model.ppt_margin(t, p)
-                assert model.log_negativity(t, p) == pytest.approx(e_l, abs=1e-10)
+                e_n, model_e_l, margin = cell(model, t, p)
+                assert model_e_l == pytest.approx(e_l, abs=1e-10)
                 assert margin == pytest.approx(ev[-1] - 1.0, abs=1e-10)
                 assert (e_n < EPS_PPT) == (2.0**e_l - 1.0 < EPS_PPT)
 
@@ -282,8 +282,7 @@ class TestBlochRoute:
     def test_even_odd_solves_only_two_by_two_blocks(self, eigvalsh_shapes):
         model = GaussianModel(build_ring_potential(256, 0.4))
         eigvalsh_shapes.clear()
-        model.negativity_pair(0.5, even_odd(256))
-        model.ppt_margin(0.5, even_odd(256))
+        cell(model, 0.5, even_odd(256))
         assert eigvalsh_shapes and all(shape[-2:] == (2, 2) for shape in eigvalsh_shapes)
 
     @pytest.mark.parametrize(
@@ -295,14 +294,14 @@ class TestBlochRoute:
         ids=["ring-no-symmetry", "star"],
     )
     def test_other_inputs_take_one_dense_solve(self, eigvalsh_shapes, v, p):
-        GaussianModel(v).negativity_pair(0.5, p)
+        cell(GaussianModel(v), 0.5, p)
         assert eigvalsh_shapes == [(1, v.n, v.n)]
 
     @pytest.mark.parametrize("t", [-0.1, math.nan])
     def test_invalid_temperature_rejected(self, t):
         model = GaussianModel(build_ring_potential(256, 0.4))
         with pytest.raises(ValueError, match="temperature must be nonnegative"):
-            model.negativity_pair(t, even_odd(256))
+            cell(model, t, even_odd(256))
 
 
 def mirrored_masks(n, rng, count=2):
@@ -346,7 +345,7 @@ class TestMirrorRoute:
         ids=["transfer", "half-half", "blocks-n/L=2"],
     )
     def test_mirror_partitions_solve_two_half_blocks(self, eigvalsh_shapes, v, p):
-        GaussianModel(v).negativity_pair(0.5, p)
+        cell(GaussianModel(v), 0.5, p)
         assert len(eigvalsh_shapes) == 2
         assert all(shape[0] == 1 and shape[1] <= v.n // 2 + 1 for shape in eigvalsh_shapes)
         assert sum(shape[1] for shape in eigvalsh_shapes) == v.n
@@ -373,7 +372,7 @@ class TestMirrorRoute:
         solve = np.linalg.eigvalsh
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(np.linalg, "eigvalsh", lambda m: shapes.append(m.shape) or solve(m))
-            e_l = model.log_negativity(0.3, signs)
+            e_l = cell(model, 0.3, signs)[1]
         # each solve stacks the one temperature on a leading axis
         if has_period(signs):
             assert len(shapes) == 1 and len(shapes[0]) == 4
@@ -382,7 +381,7 @@ class TestMirrorRoute:
         else:
             assert shapes == [(1, n, n)]
         for moved in (np.roll(signs, shift % n), signs[::-1]):
-            assert model.log_negativity(0.3, moved) == pytest.approx(e_l, abs=1e-12)
+            assert cell(model, 0.3, moved)[1] == pytest.approx(e_l, abs=1e-12)
 
 
 @pytest.fixture
@@ -402,7 +401,7 @@ class TestRingBuild:
         rng = np.random.default_rng(5)
         asymmetric = from_mask("".join(rng.choice(list("+-"), n)))
         for p in (even_odd(n), half_half(n), transfer_sweep(n)[3], asymmetric):
-            model.negativity_pair(0.5, p)
+            cell(model, 0.5, p)
         assert eigh_shapes == []
         assert (1, n, n) in eigvalsh_shapes
 
@@ -430,8 +429,7 @@ class TestRingBuild:
     def test_bloch_only_model_never_builds_a_basis(self):
         model = GaussianModel(build_ring_potential(256, 0.4))
         for p in bloch_partitions(256):
-            model.negativity_pair(0.5, p)
-            model.ppt_margin(0.5, p)
+            cell(model, 0.5, p)
         assert model._mirror == {}
 
 

@@ -3,6 +3,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from conftest import cell
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -128,9 +129,9 @@ class TestThermalState:
         )
         model = SpinModel(ham)
         part = from_mask(mask, topology)
-        at_zero = model.negativity_pair(0.0, part)[0]
+        at_zero = cell(model, 0.0, part)[0]
         for t in (1e-320, 1e-300, 1e-16, 1e-12, 1e-3):
-            assert model.negativity_pair(t, part)[0] == pytest.approx(at_zero, abs=1e-10)
+            assert cell(model, t, part)[0] == pytest.approx(at_zero, abs=1e-10)
 
     def test_boltzmann_ratios(self):
         # two-site populations must follow exp(-(E - E0)/T)
@@ -151,15 +152,12 @@ class TestThermalState:
         with pytest.raises(ValueError, match="temperature must be nonnegative"):
             model.thermal_rho(math.nan)
         with pytest.raises(ValueError, match="temperature must be nonnegative"):
-            model.negativity_pair(math.nan, even_odd(4))
-        with pytest.raises(ValueError, match="temperature must be nonnegative"):
-            model.ppt_margin(math.nan, even_odd(4))
+            cell(model, math.nan, even_odd(4))
 
     def test_infinite_temperature_is_maximally_mixed_and_ppt(self):
         model = SpinModel(ring(4, h=0.3))
         assert np.allclose(model.thermal_rho(math.inf), np.eye(16) / 16, atol=1e-15)
-        assert model.negativity_pair(math.inf, even_odd(4)) == (0.0, 0.0)
-        assert model.ppt_margin(math.inf, even_odd(4))[0] == 0.0
+        assert cell(model, math.inf, even_odd(4))[:2] == (0.0, 0.0)
 
     def test_grid_builds_one_thermal_state_per_temperature(self, monkeypatch):
         model = SpinModel(ring(6))
@@ -169,7 +167,7 @@ class TestThermalState:
             SpinModel, "thermal_rho", lambda self, t: temps.append(t) or build(self, t)
         )
         grid = model.negativity_grid([0.4, 1.3], [even_odd(6), half_half(6), transfer_sweep(6)[2]])
-        assert grid.shape == (2, 3, 2)
+        assert grid.shape == (2, 3, 3)
         assert temps == [0.4, 1.3]
 
 
@@ -230,8 +228,7 @@ class TestPartialTranspose:
         labels = [bad, -1, 1, -1]
         for call in (
             lambda: negativity(model.thermal_rho(0.5), labels),
-            lambda: model.negativity_pair(0.5, labels),
-            lambda: model.ppt_margin(0.5, labels),
+            lambda: cell(model, 0.5, labels),
         ):
             with pytest.raises(ValueError, match="partition labels must be"):
                 call()
@@ -242,11 +239,8 @@ class TestPartialTranspose:
         monkeypatch.setattr(
             "thermaneg.spin.label_signs", lambda p: calls.append(p) or label_signs(p)
         )
-        model = SpinModel(ring(4))
-        for cell in (model.negativity_pair, model.ppt_margin):
-            calls.clear()
-            cell(0.5, half_half(4))
-            assert len(calls) == 1
+        cell(SpinModel(ring(4)), 0.5, half_half(4))
+        assert len(calls) == 1
 
 
 class TestNegativity:
@@ -272,18 +266,17 @@ class TestNegativity:
         flipped = negativity(rho, from_mask("-+++", topology="star", pid="rest"))
         assert direct[0] == pytest.approx(flipped[0], abs=1e-12)
 
-    def test_model_pair_matches_free_functions(self):
+    def test_model_cell_matches_free_functions(self):
         model = SpinModel(ring(5, h=1.1))
         p = from_mask("+-+--")
         for t in (0.0, 0.9, 3.0):
-            pair = model.negativity_pair(t, p)
-            assert pair == negativity(model.thermal_rho(t), p)
+            assert cell(model, t, p)[:2] == negativity(model.thermal_rho(t), p)
 
     def test_strong_field_polarizes_and_disentangles(self):
         # deep in the polarized phase the thermal state is almost the
         # product of all-down spins and carries no negativity
         model = SpinModel(ring(4, h=50.0))
-        e_n, _ = model.negativity_pair(0.5, even_odd(4))
+        e_n = cell(model, 0.5, even_odd(4))[0]
         assert e_n == pytest.approx(0.0, abs=1e-10)
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -307,7 +300,7 @@ class TestNegativity:
 
     def test_field_free_star_hub_value(self):
         model = SpinModel(star(4))
-        e_n, _ = model.negativity_pair(0.5, central_vs_rest(4))
+        e_n = cell(model, 0.5, central_vs_rest(4))[0]
         assert e_n == pytest.approx(0.26216533476808, abs=1e-11)
 
 
@@ -384,7 +377,7 @@ class TestSpinStarModel:
             for _ in range(4):
                 labels = random_star_labels(rng, n)
                 for t in (0.0, 0.3, 1.0, 3.0):
-                    e_n, e_l = route.negativity_pair(t, labels)
+                    e_n, e_l, margin = cell(route, t, labels)
                     # E_N by its definition, every negative eigenvalue of the
                     # dense state's partial transpose: the engines' cutoffs
                     # differ, absolute in the dense one, per block in the route
@@ -393,16 +386,15 @@ class TestSpinStarModel:
                     ref_margin = ref_n if ref_n > 0.0 else -float(spectrum.min())
                     assert abs(e_n - ref_n) <= 1e-12
                     assert abs(e_l - math.log2(1.0 + ref_n)) <= 1e-12
-                    margin = route.ppt_margin(t, labels)
-                    assert np.max(np.abs(np.subtract(margin, (ref_n, ref_margin)))) <= 1e-12
-                    verdict = dense.negativity_pair(t, labels)[0] > EPS_PPT
+                    assert abs(margin - ref_margin) <= 1e-12
+                    verdict = cell(dense, t, labels)[0] > EPS_PPT
                     assert (e_n > EPS_PPT) == verdict, (h, labels, t)
 
     @pytest.mark.parametrize("n", range(2, 8))
     def test_central_cell_matches_the_kronecker_oracle(self, n):
         temps = (0.3, 1.0, 3.0)
         route = SpinStarModel(n)
-        curve = [route.negativity_pair(t, central_vs_rest(n))[0] for t in temps]
+        curve = [cell(route, t, central_vs_rest(n))[0] for t in temps]
         assert np.max(np.abs(curve - spin_star_hub_oracle(n, temps))) <= 1e-12
 
     @pytest.mark.parametrize(
@@ -419,9 +411,7 @@ class TestSpinStarModel:
     def test_refusals_match_the_dense_engine(self, labels, temperature):
         for engine in (SpinModel(star(4)), SpinStarModel(4)):
             with pytest.raises(ValueError):
-                engine.negativity_pair(temperature, labels)
-            with pytest.raises(ValueError):
-                engine.ppt_margin(temperature, labels)
+                cell(engine, temperature, labels)
 
     def test_sweep_records_refusals_per_cell(self):
         spec = ModelSpec(kind="spin_half", topology="star", n_sites=4)
@@ -448,24 +438,24 @@ class TestSpinStarModel:
         spec = ModelSpec(kind="spin_half", topology="star", n_sites=40)
         engine = analysis.make_engine(spec, max_spin_sites=40)
         # the hub-vs-rest closed value 1/2 at T = 0 for every even n
-        assert engine.negativity_pair(0.0, central_vs_rest(40))[0] == pytest.approx(
+        assert cell(engine, 0.0, central_vs_rest(40))[0] == pytest.approx(
             0.5, abs=1e-12
         )
-        assert math.isfinite(engine.negativity_pair(0.5, central_vs_rest(40))[0])
+        assert math.isfinite(cell(engine, 0.5, central_vs_rest(40))[0])
 
     @pytest.mark.parametrize("t", [1.0, 2.0, 6.0])
     def test_forty_site_hub_matches_the_block_oracle(self, t):
         # each block's negative eigenvalues count against that block, not
         # against one copy of the normalised state: at T = 6 every one lies
         # above -1e-12 / Z, and hub E_N is still 2.2e-3
-        e_n = SpinStarModel(40).negativity_pair(t, central_vs_rest(40))[0]
+        e_n = cell(SpinStarModel(40), t, central_vs_rest(40))[0]
         assert e_n == pytest.approx(spin_star_hub_negativity(40, t), abs=1e-10)
         if t == 6.0:
             assert e_n == pytest.approx(2.2047e-3, abs=1e-7)
 
     def test_partitions_of_one_area_give_one_cell(self):
         route = SpinStarModel(6, 0.7)
-        externals = [route.negativity_pair(1.0, single_external_vs_rest(6, s)) for s in (2, 6)]
+        externals = [cell(route, 1.0, single_external_vs_rest(6, s)) for s in (2, 6)]
         assert externals[0] == externals[1]
         # the complement of external-2 transposes the same outer site
-        assert route.negativity_pair(1.0, from_mask("+-++++")) == externals[0]
+        assert cell(route, 1.0, from_mask("+-++++")) == externals[0]
