@@ -41,6 +41,6 @@ from .partitions import (
     single_external_vs_rest,
     transfer_sweep,
 )
-from .spin import SpinModel, SpinStarModel, negativity
+from .spin import SpinModel, SpinStarModel
 
 __version__ = "0.1.0"

@@ -6,10 +6,11 @@ same constant drives sweep flags, threshold brackets, and window
 verification so that every module reaches identical verdicts.
 Every engine has one evaluation method, ``negativity_grid``, which
 gives E_N, E_l and a signed PPT margin per (temperature, partition)
-cell.  Thresholds are found by one root finder (``_root``): a coarse
-guard scan, taken as one grid call, then safeguarded secant steps on
-the margin, one 1 x 1 grid call each, with the bracket moved by the
-verdict alone.
+cell.  A sweep is one such call, and an input the engine refuses
+raises before any row exists.  Thresholds are found by one root finder
+(``_root``): a coarse guard scan, taken as one grid call, then
+safeguarded secant steps on the margin, one 1 x 1 grid call each, with
+the bracket moved by the verdict alone.
 """
 
 from __future__ import annotations
@@ -48,9 +49,13 @@ __all__ = [
     "type2_gap_table",
 ]
 
-# A partition is declared PPT when E_N falls below this; far above
-# eigensolver noise for every dimension used here, far below any
-# physical negativity in the regimes of interest.
+# A partition is declared PPT when E_N falls below this.  It sits far
+# above eigensolver noise for every dimension used here, but not below
+# every physical negativity: a field scales a spin model's negative
+# eigenvalues down without changing their count, so at h != 0 a cell
+# near a threshold can be NPT with E_N under the cutoff and read PPT
+# (10-site spin ring at h = 1.9: T = 2.549 and 2.551).  Spin verdicts
+# and thresholds at h != 0 therefore depend on this cutoff.
 EPS_PPT = 1e-10
 
 _DEFAULT_BRACKET = (0.01, 20.0)
@@ -69,7 +74,6 @@ class SweepRow:
     e_n: float
     e_l: float
     is_ppt: bool
-    error: str = ""
 
 
 @dataclass(frozen=True)
@@ -221,9 +225,10 @@ def sweep(spec: ModelSpec, temperatures, partitions, engine=None) -> SweepGrid:
     """Evaluate every (temperature, partition) cell of the grid.
 
     Rows come out in grid order, temperature outermost.  The engine's
-    ``negativity_grid`` evaluates the whole grid at once; should it
-    raise, the cells are evaluated one by one, and a failing cell is
-    recorded in its row's ``error`` field instead of aborting the grid.
+    ``negativity_grid`` evaluates the whole grid in one call, and
+    whatever it raises propagates: a negative or NaN temperature, or a
+    partition of the wrong size or with labels other than +1 and -1, is
+    a ValueError before any row exists.
     """
     temperatures = [float(t) for t in temperatures]
     partitions = list(partitions)
@@ -236,36 +241,21 @@ def sweep(spec: ModelSpec, temperatures, partitions, engine=None) -> SweepGrid:
     if not (temperatures and partitions):
         return SweepGrid(spec=spec, rows=())
 
-    def row(t, part, e_n, e_l, error=""):
-        return SweepRow(
+    values = engine.negativity_grid(temperatures, partitions).tolist()
+    rows = tuple(
+        SweepRow(
             temperature=t,
             beta=_beta_of(t),
-            partition_id=part.id,
-            partition_mask=part.mask,
-            area=part.area,
+            partition_id=p.id,
+            partition_mask=p.mask,
+            area=p.area,
             e_n=e_n,
             e_l=e_l,
-            is_ppt=not error and bool(e_n < EPS_PPT),
-            error=error,
+            is_ppt=e_n < EPS_PPT,
         )
-
-    def evaluate(t, part):
-        try:
-            e_n, e_l, _ = engine.negativity_grid([t], [part])[0, 0].tolist()
-        except Exception as exc:  # recorded per cell, grid continues
-            return row(t, part, math.nan, math.nan, f"{type(exc).__name__}: {exc}")
-        return row(t, part, e_n, e_l)
-
-    try:
-        values = engine.negativity_grid(temperatures, partitions).tolist()
-    except Exception:  # some cell fails: each failure goes to its own row
-        rows = tuple(evaluate(t, p) for t in temperatures for p in partitions)
-    else:
-        rows = tuple(
-            row(t, p, e_n, e_l)
-            for t, cells in zip(temperatures, values)
-            for p, (e_n, e_l, _) in zip(partitions, cells)
-        )
+        for t, cells in zip(temperatures, values)
+        for p, (e_n, e_l, _) in zip(partitions, cells)
+    )
     return SweepGrid(spec=spec, rows=rows)
 
 
@@ -424,11 +414,6 @@ def rank1_factorizability(grid: SweepGrid) -> float:
     well above zero refutes such a factorization.  Single-row and
     single-column grids are trivially rank one.
     """
-    bad = [r for r in grid.rows if r.error]
-    if bad:
-        raise ValueError(
-            f"grid contains {len(bad)} failed cells; factorizability needs a clean grid"
-        )
     temps = sorted({r.temperature for r in grid.rows})
     pids = list(dict.fromkeys(r.partition_id for r in grid.rows))
     table = {(r.temperature, r.partition_id): r.e_n for r in grid.rows}

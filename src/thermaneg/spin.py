@@ -30,17 +30,16 @@ from .partitions import label_signs
 __all__ = [
     "SpinModel",
     "SpinStarModel",
-    "negativity",
 ]
 
 # Below this an eigenvalue of the unit-trace partial transpose counts
 # as negative in ``SpinModel``.  It sits above the rounding noise of a
 # symmetric eigensolve of a unit-trace matrix, of order dim * eps: 2e-13
-# for the largest charge block at 12 sites (924 states), 9e-13 for a
-# dense solve at 2^12.  ``SpinStarModel`` scales it by each block's
-# largest |eigenvalue|, the rounding scale of that block's eigensolve,
-# since a block repeated d times carries d times the weight of one copy;
-# past 1e-12 / eps (about 4,500 states) a block's cutoff follows dim * eps.
+# for the largest charge block at 12 sites (924 states).  ``SpinStarModel``
+# scales it by each block's largest |eigenvalue|, the rounding scale of
+# that block's eigensolve, since a block repeated d times carries d times
+# the weight of one copy; past 1e-12 / eps (about 4,500 states) a block's
+# cutoff follows dim * eps.
 NEGATIVE_EIGENVALUE_CUTOFF = -1e-12
 # Eigenstates within this of the minimum energy belong to the ground
 # space, and share its Boltzmann weight at every temperature.
@@ -76,15 +75,6 @@ def _boltzmann(excitations: np.ndarray, temperatures: np.ndarray) -> np.ndarray:
     return weights
 
 
-def _blocks(mat: np.ndarray, groups: list):
-    """The diagonal blocks of ``mat`` over the index groups, or None
-    unless they hold every nonzero entry of ``mat`` (an exact count)."""
-    blocks = [mat[np.ix_(idx, idx)] for idx in groups]
-    if sum(np.count_nonzero(block) for block in blocks) != np.count_nonzero(mat):
-        return None
-    return blocks
-
-
 class SpinModel:
     """One spin Hamiltonian with its eigendecomposition cached.
 
@@ -98,8 +88,9 @@ class SpinModel:
         self.n = hamiltonian.n
         ham = np.asarray(hamiltonian.entries)
         self._sectors = _groups(popcount(np.arange(ham.shape[0])))
-        blocks = _blocks(ham, self._sectors)
-        if blocks is None:
+        blocks = [ham[np.ix_(idx, idx)] for idx in self._sectors]
+        # the sector blocks must hold every nonzero entry (an exact count)
+        if sum(np.count_nonzero(block) for block in blocks) != np.count_nonzero(ham):
             raise ValueError("spin Hamiltonian couples different magnetisation sectors")
         pairs = [np.linalg.eigh(block) for block in blocks]
         energies = np.concatenate([evals for evals, _ in pairs])
@@ -295,35 +286,28 @@ def _transposed(rho, labels: np.ndarray) -> np.ndarray:
     return tensor.transpose(perm).reshape(dim, dim)
 
 
-def negativity(rho, partition) -> tuple:
-    """(E_N, E_l) of a state across a partition.
-
-    E_N adds up |eigenvalue| over the spectrum of the partial transpose
-    below -1e-12; E_l = log2(1 + E_N).
-    """
-    e_n = _e_n(_pt_spectrum(rho, partition))
-    return (e_n, math.log2(1.0 + e_n))
-
-
 def _e_n(spectrum: np.ndarray) -> float:
     negative = spectrum[spectrum < NEGATIVE_EIGENVALUE_CUTOFF]
     return float(-negative.sum()) if negative.size else 0.0
 
 
 def _pt_spectrum(rho, partition) -> np.ndarray:
-    """Eigenvalues of the partial transpose, block by block.
+    """Eigenvalues of the partial transpose of a ``SpinModel`` state,
+    block by block.
 
     A state that conserves the magnetisation has a partial transpose
     that is block diagonal in the charge imbalance q = N_B - N_A, the
     set bits outside the transposed block minus those inside it, that
-    is N - 2 N_A (Cornfeld, Goldstein & Sela, PRA 98, 032302 (2018));
-    the spectrum is then taken block by block.  Any other state,
-    detected from its entries, takes one dense eigensolve.
+    is N - 2 N_A (Cornfeld, Goldstein & Sela, PRA 98, 032302 (2018)).
+    ``thermal_rho`` fills the state sector by sector and leaves exact
+    zeros between sectors, so no entry of the partial transpose lies
+    outside these blocks, and each block is solved alone.
     """
     labels = label_signs(partition)
     pt = _transposed(rho, labels)
     states = np.arange(pt.shape[0])
     transposed = site_mask(len(labels), np.flatnonzero(labels > 0))
     charge = popcount(states) - 2 * popcount(states & transposed)
-    blocks = _blocks(pt, _groups(charge)) or [pt]
-    return np.concatenate([np.linalg.eigvalsh(block) for block in blocks])
+    return np.concatenate(
+        [np.linalg.eigvalsh(pt[np.ix_(idx, idx)]) for idx in _groups(charge)]
+    )

@@ -29,7 +29,6 @@ from thermaneg.partitions import (
     from_mask,
     half_half,
     single_external_vs_rest,
-    transfer_sweep,
 )
 from thermaneg.spin import SpinModel, SpinStarModel
 
@@ -116,45 +115,29 @@ class TestSweep:
         assert first.area == 8 and first.partition_mask == "+-+-+-+-"
         assert first.e_n > 0 and not first.is_ppt
         assert first.e_l == pytest.approx(math.log2(1 + first.e_n), rel=1e-12)
-        assert first.error == ""
 
     def test_ppt_flag_uses_the_shared_cutoff(self):
         grid = sweep(RING, [5.0], [even_odd(8)])
         row = grid.rows[0]
         assert row.is_ppt and row.e_n < EPS_PPT
 
-    def test_failing_cell_is_recorded_not_raised(self):
-        grid = sweep(RING, [0.5, -1.0], [even_odd(8)])
-        good, bad = grid.rows
-        assert good.error == ""
-        assert "temperature" in bad.error
-        assert math.isnan(bad.e_n) and not bad.is_ppt
-        # The grid refuses T = -1 on every engine, so each cell is then
-        # evaluated alone, and each row reads as that cell's own call.
-        temps = [0.5, -1.0, 1.5]
-        for spec, parts in [
-            (
-                ModelSpec(kind="spin_half", topology="star", n_sites=6, h=0.7),
-                [central_vs_rest(6), single_external_vs_rest(6, 3)],
-            ),
-            (
-                ModelSpec(kind="harmonic", topology="ring_nn", n_sites=16, c=0.4),
-                [even_odd(16), half_half(16), transfer_sweep(16)[3]],
-            ),
-        ]:
-            grid = sweep(spec, temps, parts)
-            engine = make_engine(spec)
-            assert [(r.temperature, r.partition_id) for r in grid.rows] == [
-                (t, p.id) for t in temps for p in parts
-            ]
-            for row, part in zip(grid.rows, parts * len(temps)):
-                if row.temperature == -1.0:
-                    assert row.error == "ValueError: temperature must be nonnegative, got -1.0"
-                    assert math.isnan(row.e_n) and math.isnan(row.e_l) and not row.is_ppt
-                else:
-                    e_n, e_l, _ = cell(engine, row.temperature, part)
-                    assert (row.e_n, row.e_l, row.error) == (e_n, e_l, "")
-                    assert row.is_ppt == (e_n < EPS_PPT)
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            RING,
+            ModelSpec(kind="spin_half", topology="ring_nn", n_sites=4, h=0.3),
+            ModelSpec(kind="spin_half", topology="star", n_sites=4, h=0.7),
+        ],
+        ids=["harmonic", "spin-ring", "spin-star"],
+    )
+    def test_refused_input_raises_before_any_row(self, spec):
+        n = spec.n_sites
+        good = from_mask("+" * (n // 2) + "-" * (n - n // 2), topology=spec.topology)
+        wrong_size = from_mask("+" + "-" * n, topology=spec.topology)
+        with pytest.raises(ValueError, match="temperature must be nonnegative"):
+            sweep(spec, [0.5, -1.0], [good])
+        with pytest.raises(ValueError, match="does not match"):
+            sweep(spec, [0.5], [good, wrong_size])
 
     def test_clean_grid_takes_one_engine_call(self, grid_calls):
         assert len(sweep(RING, [0.2, 0.5, 0.0], [even_odd(8), half_half(8)]).rows) == 6
@@ -508,11 +491,6 @@ class TestFactorizability:
         assert rank1_factorizability(grid) == 0.0
         grid = synthetic_grid([[0.4], [0.2]], [0.3, 0.6], ["p1"])
         assert rank1_factorizability(grid) == 0.0
-
-    def test_rejects_failed_cells(self):
-        grid = sweep(RING, [0.5, -1.0], [even_odd(8), half_half(8)])
-        with pytest.raises(ValueError, match="failed cells"):
-            rank1_factorizability(grid)
 
     def test_rejects_all_zero_grids(self):
         grid = synthetic_grid([[0.0, 0.0], [0.0, 0.0]], [0.3, 0.6], ["p1", "p2"])

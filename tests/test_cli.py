@@ -21,7 +21,6 @@ from thermaneg.cli import (
     WINDOW_HEADER,
     main,
 )
-from thermaneg.gaussian import GaussianModel
 
 
 def run(tmp_path, *args, name="out.csv"):
@@ -100,6 +99,13 @@ class TestSweepCommand:
         assert len(lines) == 5
         assert lines[1].startswith("harmonic,ring_nn,8,0.4,0,0.2,5,even-odd,+-+-+-+-,8,")
 
+    def test_error_column_is_kept_and_empty(self, tmp_path):
+        code, text = run(tmp_path, *RING_ARGS)
+        assert code == EXIT_OK
+        rows = [line.split(",") for line in text.splitlines()]
+        assert rows[0][-1] == "error"
+        assert all(len(row) == len(rows[0]) and row[-1] == "" for row in rows[1:])
+
     def test_beta_schedule_round_trips(self, tmp_path):
         code, text = run(
             tmp_path,
@@ -143,36 +149,6 @@ class TestSweepCommand:
         )
         assert code == EXIT_OK
         assert text == SWEEP_HEADER + "\n"
-
-    def test_failing_cell_reports_partial_exit(self, tmp_path, capsys, monkeypatch):
-        # every schedule the CLI accepts is valid input, so the engine's
-        # kernel is made to fail wherever it meets T = 1, with a comma and
-        # a line break in its message: the grid fails, and so does the
-        # one cell at T = 1
-        spectrum = GaussianModel._spectrum
-
-        def fail_at_one(self, temperatures, p):
-            if 1.0 in temperatures:
-                raise ValueError("cell failed,\non purpose")
-            return spectrum(self, temperatures, p)
-
-        monkeypatch.setattr(GaussianModel, "_spectrum", fail_at_one)
-        code, text = run(
-            tmp_path,
-            "sweep",
-            "--kind", "harmonic",
-            "--topology", "ring_nn",
-            "--n", "8",
-            "--c", "0.4",
-            "--t-list", "0.5,1.0",
-            "--families", "even-odd",
-        )
-        assert code == EXIT_PARTIAL
-        bad = text.splitlines()[2]
-        assert "ValueError" in bad
-        # the sanitized message must stay inside the one error field
-        assert len(bad.split(",")) == len(SWEEP_HEADER.split(","))
-        assert "failed" in capsys.readouterr().err
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("schedule", [["--t-list", "inf"], ["--beta-list", "1e-320"]])
@@ -223,6 +199,15 @@ class TestSweepCommand:
         assert code == EXIT_OK
         rows = [line.split(",") for line in text.splitlines()[1:]]
         assert [(r[7], r[12]) for r in rows] == [("central", "0"), ("external-2", "0")]
+
+    def test_external_one_names_a_ring_site_but_not_the_star_hub(self, tmp_path, capsys):
+        code, text = run(tmp_path, *RING_MODEL, "--t-list", "0.5", "--families", "external:1")
+        assert code == EXIT_OK
+        assert text.splitlines()[1].split(",")[7:10] == ["external-1", "+-------", "2"]
+        code, _ = run(tmp_path, *STAR_MODEL, "--c", "1", "--t-list", "1",
+                      "--families", "external:1")
+        assert code == EXIT_CONFIG
+        assert "site 1 is the hub" in capsys.readouterr().err
 
     def test_lf_line_endings(self, tmp_path):
         out = tmp_path / "lf.csv"
@@ -511,6 +496,24 @@ class TestWindowCommand:
         cells = lines[1].split(",")
         assert float(cells[7]) < float(cells[8])
 
+    def test_empty_window_leaves_its_optional_cells_empty(self, tmp_path, capsys):
+        code, text = run(
+            tmp_path,
+            "window",
+            "--kind", "harmonic",
+            "--topology", "ring_nn",
+            "--n", "16",
+            "--c", "0.4",
+            "--certificate", "central",
+            "--witness", "external:2",
+        )
+        assert code == EXIT_OK
+        assert text.splitlines()[1] == (
+            "harmonic,ring_nn,16,0.4,0,central,external-2,,,,,"
+            "thresholds coincide within tolerance; no window"
+        )
+        assert "no window" in capsys.readouterr().out
+
     def test_requires_both_roles(self, tmp_path):
         code, _ = run(
             tmp_path,
@@ -668,4 +671,7 @@ def test_cli_never_raises_on_fuzzed_input(command, base, changes, as_ini):
             argv += ["--config", f"{tmp}/exp.ini"]
         else:
             argv += [f"--{k.replace('_', '-')}={v}" for k, v in keys.items()]
-        assert main(argv) in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_PARTIAL)
+        # only threshold reports partial success; a sweep has no failing
+        # cell to report, so every other command exits 0, 1 or 2
+        partial = (EXIT_PARTIAL,) if command == "threshold" else ()
+        assert main(argv) in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL, *partial)

@@ -163,3 +163,13 @@ class TestFamilies:
             single_external_vs_rest(4, 5)
         with pytest.raises(ValueError):
             single_external_vs_rest(4, 0)
+
+    def test_single_external_site_one_is_the_hub_on_the_star_only(self):
+        with pytest.raises(ValueError, match="hub"):
+            single_external_vs_rest(4, 1, "star")
+        p = single_external_vs_rest(4, 1, "ring_nn")
+        assert p.mask == "+---"
+        assert p.area == 2 and p.id == "external-1"
+        for site in (0, 5):
+            with pytest.raises(ValueError):
+                single_external_vs_rest(4, site, "ring_nn")

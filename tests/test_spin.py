@@ -1,5 +1,4 @@
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thermaneg import analysis
-from thermaneg.analysis import EPS_PPT, sweep
+from thermaneg.analysis import EPS_PPT
 from thermaneg.lattice import ModelSpec, SpinHamiltonian, build_spin_hamiltonian
 from thermaneg.partitions import (
     alternating_blocks,
@@ -26,7 +25,6 @@ from thermaneg.spin import (
     SpinStarModel,
     _multiplicities,
     _pt_spectrum,
-    negativity,
 )
 from oracles import partial_transpose, spin_star_hub_negativity
 from test_acceptance import spin_star_hub_oracle
@@ -219,20 +217,13 @@ class TestPartialTranspose:
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            negativity(np.eye(8), from_mask("+-"))
+            cell(SpinModel(ring(3)), 0.5, from_mask("+-"))
 
     @pytest.mark.parametrize("bad", [0.0, 2.0, math.nan], ids=["zero", "two", "nan"])
     def test_labels_other_than_plus_minus_one_rejected(self, bad):
         # a raw label must mean what a Partition label means, not "positive"
-        model = SpinModel(ring(4))
-        labels = [bad, -1, 1, -1]
-        for call in (
-            lambda: negativity(model.thermal_rho(0.5), labels),
-            lambda: cell(model, 0.5, labels),
-        ):
-            with pytest.raises(ValueError, match="partition labels must be"):
-                call()
-
+        with pytest.raises(ValueError, match="partition labels must be"):
+            cell(SpinModel(ring(4)), 0.5, [bad, -1, 1, -1])
 
     def test_labels_are_checked_once_per_cell(self, monkeypatch):
         calls = []
@@ -245,32 +236,27 @@ class TestPartialTranspose:
 
 class TestNegativity:
     def test_bell_ground_state(self):
-        rho = thermal_rho(ring(2), 0.0)
-        e_n, e_l = negativity(rho, half_half(2))
+        e_n, e_l, _ = cell(SpinModel(ring(2)), 0.0, half_half(2))
         assert e_n == pytest.approx(0.5, abs=1e-10)
         assert e_l == pytest.approx(math.log2(1.5), abs=1e-10)
 
     def test_separable_diagonal_state(self):
-        rho = np.diag([0.4, 0.3, 0.2, 0.1])
-        e_n, e_l = negativity(rho, half_half(2))
+        # the Gibbs state of this diagonal Hamiltonian at T = 1 is
+        # diag(0.4, 0.3, 0.2, 0.1)
+        energies = -np.log([0.4, 0.3, 0.2, 0.1])
+        model = SpinModel(SpinHamiltonian(n=2, entries=np.diag(energies)))
+        e_n, e_l, _ = cell(model, 1.0, half_half(2))
         assert e_n == 0.0 and e_l == 0.0
 
     def test_log_form_consistency(self):
-        rho = thermal_rho(ring(4, h=0.5), 0.6)
-        e_n, e_l = negativity(rho, even_odd(4))
+        e_n, e_l, _ = cell(SpinModel(ring(4, h=0.5)), 0.6, even_odd(4))
         assert e_l == pytest.approx(math.log2(1.0 + e_n), abs=1e-12)
 
     def test_block_negation_symmetry(self):
-        rho = thermal_rho(star(4), 1.0)
-        direct = negativity(rho, central_vs_rest(4))
-        flipped = negativity(rho, from_mask("-+++", topology="star", pid="rest"))
+        model = SpinModel(star(4))
+        direct = cell(model, 1.0, central_vs_rest(4))
+        flipped = cell(model, 1.0, from_mask("-+++", topology="star", pid="rest"))
         assert direct[0] == pytest.approx(flipped[0], abs=1e-12)
-
-    def test_model_cell_matches_free_functions(self):
-        model = SpinModel(ring(5, h=1.1))
-        p = from_mask("+-+--")
-        for t in (0.0, 0.9, 3.0):
-            assert cell(model, t, p)[:2] == negativity(model.thermal_rho(t), p)
 
     def test_strong_field_polarizes_and_disentangles(self):
         # deep in the polarized phase the thermal state is almost the
@@ -293,10 +279,10 @@ class TestNegativity:
         # so each charge block q pairs with the block -q
         n = len(mask)
         spec = ModelSpec(kind="spin_half", topology=topology, n_sites=n, h=h)
-        rho = SpinModel(build_spin_hamiltonian(spec)).thermal_rho(t)
+        model = SpinModel(build_spin_hamiltonian(spec))
         swapped = "".join("+" if ch == "-" else "-" for ch in mask)
-        direct = negativity(rho, from_mask("".join(mask)))[0]
-        assert negativity(rho, from_mask(swapped))[0] == pytest.approx(direct, abs=1e-12)
+        direct = cell(model, t, from_mask("".join(mask)))[0]
+        assert cell(model, t, from_mask(swapped))[0] == pytest.approx(direct, abs=1e-12)
 
     def test_field_free_star_hub_value(self):
         model = SpinModel(star(4))
@@ -313,12 +299,30 @@ def eigensolve_sizes(monkeypatch):
 
 
 class TestChargeBlocks:
-    def test_magnetisation_conserving_state_takes_the_block_route(self, monkeypatch):
-        rho = SpinModel(star(6)).thermal_rho(0.5)
+    def test_partial_transpose_is_solved_per_charge_block(self, monkeypatch):
+        model = SpinModel(star(6))
         sizes = eigensolve_sizes(monkeypatch)
-        negativity(rho, central_vs_rest(6))
+        cell(model, 0.5, central_vs_rest(6))
         # the charge blocks of the hub transpose hold C(6, k) states
         assert sizes == [1, 6, 15, 20, 15, 6, 1]
+
+    @pytest.mark.parametrize("topology", ["ring_nn", "star"])
+    def test_partial_transpose_has_no_entry_outside_the_charge_blocks(self, topology):
+        # the spectrum is taken block by block with no check, so every
+        # state the model builds must leave exact zeros between blocks
+        n = 6
+        for h in (0.0, 0.7):
+            spec = ModelSpec(kind="spin_half", topology=topology, n_sites=n, h=h)
+            model = SpinModel(build_spin_hamiltonian(spec))
+            for t in (0.0, 0.5, 2.0):
+                for p in every_family(n, topology):
+                    inside = [n - 1 - i for i, sign in enumerate(p.labels) if sign > 0]
+                    charge = np.array([
+                        bin(b).count("1") - 2 * sum((b >> k) & 1 for k in inside)
+                        for b in range(2**n)
+                    ])
+                    pt = partial_transpose(model.thermal_rho(t), p)
+                    assert not pt[charge[:, None] != charge[None, :]].any(), (h, t, p.id)
 
     @pytest.mark.parametrize("n", range(2, 11))
     @pytest.mark.parametrize("topology", ["ring_nn", "star"])
@@ -329,30 +333,10 @@ class TestChargeBlocks:
             for t in (0.0, 0.5, 2.0):
                 rho = model.thermal_rho(t)
                 for p in every_family(n, topology):
-                    e_n = negativity(rho, p)[0]
+                    e_n = cell(model, t, p)[0]
                     oracle = dense_oracle(rho, p)
                     assert abs(e_n - oracle) <= 1e-12, (h, t, p.id)
                     assert (e_n < EPS_PPT) == (oracle < EPS_PPT), (h, t, p.id)
-
-    def test_state_breaking_magnetisation_takes_the_dense_route(self, monkeypatch):
-        rng = np.random.default_rng(17)
-        m = rng.standard_normal((32, 32))
-        rho = m @ m.T
-        rho /= np.trace(rho)
-        sizes = eigensolve_sizes(monkeypatch)
-        for mask in ("+-+--", "+----", "--+++"):
-            p = from_mask(mask)
-            assert negativity(rho, p)[0] == dense_oracle(rho, p)
-        assert sizes == [32] * 6
-
-    def test_one_entry_between_sectors_takes_the_dense_route(self, monkeypatch):
-        rho = SpinModel(ring(4, h=0.3)).thermal_rho(0.5).copy()
-        # |0000> and |0001> differ in magnetisation
-        rho[0, 1] = rho[1, 0] = 1e-300
-        p = even_odd(4)
-        sizes = eigensolve_sizes(monkeypatch)
-        assert negativity(rho, p)[0] == dense_oracle(rho, p)
-        assert sizes == [16, 16]
 
 
 def random_star_labels(rng, n):
@@ -412,15 +396,6 @@ class TestSpinStarModel:
         for engine in (SpinModel(star(4)), SpinStarModel(4)):
             with pytest.raises(ValueError):
                 cell(engine, temperature, labels)
-
-    def test_sweep_records_refusals_per_cell(self):
-        spec = ModelSpec(kind="spin_half", topology="star", n_sites=4)
-        wrong_length = from_mask("+----", topology="star", pid="five-sites")
-        not_signs = SimpleNamespace(labels=(1, 0, -1, -1), id="zero", mask="+0--", area=2)
-        grid = sweep(spec, [1.0, -0.5, math.nan], [central_vs_rest(4), wrong_length, not_signs])
-        errors = [row.error for row in grid.rows]
-        assert errors[0] == ""
-        assert all(e.startswith("ValueError: ") for e in errors[1:])
 
     def test_multiplicities_count_every_state_without_overflow(self):
         k = 2000
