@@ -8,7 +8,6 @@ from .analysis import (
     GapTable,
     NotEntangledError,
     SweepGrid,
-    SweepRow,
     ThresholdError,
     ThresholdResult,
     WindowResult,

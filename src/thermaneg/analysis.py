@@ -6,9 +6,10 @@ same constant drives sweep flags, threshold brackets, and window
 verification so that every module reaches identical verdicts.
 Every engine has one evaluation method, ``negativity_grid``, which
 gives E_N, E_l and a signed PPT margin per (temperature, partition)
-cell.  A sweep is one such call, and an input the engine refuses
-raises before any row exists.  Thresholds are found by one root finder
-(``_root``): a coarse guard scan, taken as one grid call, then
+cell.  A sweep is one such call, its array kept in a ``SweepGrid``
+beside its temperatures and partitions; an input the engine refuses
+raises before any grid exists.  Thresholds are found by one root
+finder (``_root``): a coarse guard scan, taken as one grid call, then
 safeguarded secant steps on the margin, one 1 x 1 grid call each, with
 the bracket moved by the verdict alone.
 """
@@ -33,7 +34,6 @@ from .spin import SpinModel, SpinStarModel
 
 __all__ = [
     "EPS_PPT",
-    "SweepRow",
     "SweepGrid",
     "ThresholdError",
     "NotEntangledError",
@@ -61,27 +61,28 @@ EPS_PPT = 1e-10
 _DEFAULT_BRACKET = (0.01, 20.0)
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    """One (temperature, partition) cell of a negativity sweep; the
-    model is its grid's ``spec``."""
-
-    temperature: float
-    beta: float
-    partition_id: str
-    partition_mask: str
-    area: int
-    e_n: float
-    e_l: float
-    is_ppt: bool
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SweepGrid:
-    """Complete temperature-by-partition table for one model."""
+    """A model's sweep: ``values[i, j]`` holds (E_N, E_l, PPT margin) at
+    ``temperatures[i]`` and ``partitions[j]``, in a read-only copy."""
 
     spec: ModelSpec
-    rows: tuple
+    temperatures: tuple
+    partitions: tuple
+    values: np.ndarray
+
+    def __post_init__(self):
+        values = np.array(self.values, dtype=float)
+        shape = (len(self.temperatures), len(self.partitions), 3)
+        if values.shape != shape:
+            raise ValueError(f"sweep values of shape {values.shape}, expected {shape}")
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
+
+    @property
+    def is_ppt(self) -> np.ndarray:
+        """The PPT verdict of every cell, shape (temperatures, partitions)."""
+        return self.values[..., 0] < EPS_PPT
 
 
 class ThresholdError(RuntimeError):
@@ -217,46 +218,27 @@ def _root(probe, ts, scan, tol: float):
     return lo, hi, warning
 
 
-def _beta_of(temperature: float) -> float:
-    return math.inf if temperature == 0.0 else 1.0 / temperature
-
-
 def sweep(spec: ModelSpec, temperatures, partitions, engine=None) -> SweepGrid:
     """Evaluate every (temperature, partition) cell of the grid.
 
-    Rows come out in grid order, temperature outermost.  The engine's
-    ``negativity_grid`` evaluates the whole grid in one call, and
-    whatever it raises propagates: a negative or NaN temperature, or a
-    partition of the wrong size or with labels other than +1 and -1, is
-    a ValueError before any row exists.
+    The engine's ``negativity_grid`` evaluates the whole grid in one
+    call, and whatever it raises propagates: a negative or NaN
+    temperature, or a partition of the wrong size or with labels other
+    than +1 and -1, is a ValueError before any grid exists.  With no
+    partitions no engine is built or called.
     """
-    temperatures = [float(t) for t in temperatures]
-    partitions = list(partitions)
+    temperatures = tuple(float(t) for t in temperatures)
+    partitions = tuple(partitions)
     if len(set(temperatures)) != len(temperatures):
         raise ValueError("temperature list contains duplicates")
     if len({p.id for p in partitions}) != len(partitions):
         raise ValueError("partition list contains duplicate ids")
-    if engine is None and partitions:
+    if not partitions:
+        return SweepGrid(spec, temperatures, partitions, np.empty((len(temperatures), 0, 3)))
+    if engine is None:
         engine = make_engine(spec)
-    if not (temperatures and partitions):
-        return SweepGrid(spec=spec, rows=())
-
-    values = engine.negativity_grid(temperatures, partitions).tolist()
-    rows = tuple(
-        SweepRow(
-            temperature=t,
-            beta=_beta_of(t),
-            partition_id=p.id,
-            partition_mask=p.mask,
-            area=p.area,
-            e_n=e_n,
-            e_l=e_l,
-            is_ppt=e_n < EPS_PPT,
-        )
-        for t, cells in zip(temperatures, values)
-        for p, (e_n, e_l, _) in zip(partitions, cells)
-    )
-    return SweepGrid(spec=spec, rows=rows)
+    values = engine.negativity_grid(temperatures, partitions)
+    return SweepGrid(spec, temperatures, partitions, values)
 
 
 def threshold_temperature(
@@ -406,20 +388,18 @@ def bound_entanglement_window(
 def rank1_factorizability(grid: SweepGrid) -> float:
     """Distance of the E_N table from an exact product f(T) g(partition).
 
-    The grid's E_N values are arranged as a temperature-by-partition
-    matrix M; the result is the Frobenius distance from M to its best
-    rank-one approximation, divided by the Frobenius norm of M.  A
-    residual at numerical zero certifies that the negativity factorizes
-    into a temperature profile times a partition profile; a residual
-    well above zero refutes such a factorization.  Single-row and
-    single-column grids are trivially rank one.
+    The grid's E_N values form a temperature-by-partition matrix M, its
+    rows in ascending temperature; the result is the Frobenius distance
+    from M to its best rank-one approximation, divided by the Frobenius
+    norm of M.  A residual at numerical zero certifies that the
+    negativity factorizes into a temperature profile times a partition
+    profile; a residual well above zero refutes such a factorization.
+    Single-row and single-column grids are trivially rank one; a grid
+    with no cells, or with no entanglement, raises ValueError.
     """
-    temps = sorted({r.temperature for r in grid.rows})
-    pids = list(dict.fromkeys(r.partition_id for r in grid.rows))
-    table = {(r.temperature, r.partition_id): r.e_n for r in grid.rows}
-    if len(table) != len(temps) * len(pids):
-        raise ValueError("grid is not a complete temperature-by-partition table")
-    m = np.array([[table[(t, pid)] for pid in pids] for t in temps])
+    m = grid.values[np.argsort(grid.temperatures, kind="stable"), :, 0]
+    if not m.size:
+        raise ValueError("empty grid: factorizability needs at least one cell")
     if not np.any(m > 0.0):
         raise ValueError("all-zero grid: factorizability is undefined without entanglement")
     if min(m.shape) == 1:

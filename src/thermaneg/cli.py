@@ -404,18 +404,17 @@ def _model_cells(spec: ModelSpec) -> tuple:
     return (spec.kind, spec.topology, str(spec.n_sites), _fmt(spec.c), _fmt(spec.h))
 
 
-def _sweep_cells(row) -> tuple:
-    return (
-        _fmt(row.temperature),
-        _fmt(row.beta),
-        row.partition_id,
-        row.partition_mask,
-        str(row.area),
-        _fmt(row.e_n),
-        _fmt(row.e_l),
-        "1" if row.is_ppt else "0",
-        "",  # the error column, kept for format compatibility
-    )
+def _sweep_rows(grid) -> list:
+    """The grid's CSV rows, temperature outermost, with beta = inf at
+    T = 0 and the error column, kept for format compatibility, empty."""
+    model = _model_cells(grid.spec)
+    parts = [(p.id, p.mask, str(p.area)) for p in grid.partitions]
+    temps = [(_fmt(t), _fmt(math.inf if t == 0.0 else 1.0 / t)) for t in grid.temperatures]
+    return [
+        model + temp + part + (_fmt(e_n), _fmt(e_l), "1" if ppt else "0", "")
+        for temp, cells, verdicts in zip(temps, grid.values.tolist(), grid.is_ppt.tolist())
+        for part, (e_n, e_l, _), ppt in zip(parts, cells, verdicts)
+    ]
 
 
 def _sweep_grids(exp: Experiment) -> list:
@@ -434,9 +433,7 @@ def _sweep_grids(exp: Experiment) -> list:
 
 
 def cmd_sweep(exp: Experiment, out: str) -> int:
-    grids = _sweep_grids(exp)
-    rows = [(grid.spec, row) for grid in grids for row in grid.rows]
-    _write_csv(out, SWEEP_HEADER, [_model_cells(s) + _sweep_cells(r) for s, r in rows])
+    _write_csv(out, SWEEP_HEADER, [row for grid in _sweep_grids(exp) for row in _sweep_rows(grid)])
     return EXIT_OK
 
 
@@ -517,8 +514,8 @@ def cmd_scaling(exp: Experiment, out: str) -> int:
             _fmt(exp.c),
             _fmt(exp.h),
             str(r.n),
-            exp.certificate,
-            exp.witness,
+            exp.single("certificate", r.n).id,
+            exp.single("witness", r.n).id,
             _fmt(r.t_certificate),
             _fmt(r.t_witness),
             _fmt(r.gap),
@@ -541,8 +538,7 @@ def cmd_factor_check(exp: Experiment, out: str) -> int:
     except ValueError as exc:
         print(f"factor-check: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    n_t = len({r.temperature for r in grid.rows})
-    n_p = len({r.partition_id for r in grid.rows})
+    n_t, n_p, _ = grid.values.shape
     _write_csv(
         out, FACTOR_HEADER, [_model_cells(grid.spec) + (str(n_t), str(n_p), _fmt(residual))]
     )

@@ -241,7 +241,7 @@ def _bloch_spectrum(s: np.ndarray, temperatures: np.ndarray, cell: np.ndarray) -
         w = _weights(s, temps)
         a = np.sqrt(s / w)[:, k, None] * b * np.sqrt(1.0 / (w * s))[:, k][:, :, None, :]
         ev = np.linalg.eigvalsh(a @ a.conj().swapaxes(-1, -2))
-        return np.sort(ev.reshape(len(temps), -1), axis=1)
+        return np.sort(ev.reshape(len(temps), s.size), axis=1)
 
     # complex entries, two float64 each
     return stacked(spectra, temperatures, 2 * s.size * period)

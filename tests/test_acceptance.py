@@ -23,7 +23,6 @@ from oracles import (
 from thermaneg.analysis import (
     EPS_PPT,
     SweepGrid,
-    SweepRow,
     rank1_factorizability,
     sweep,
     type2_gap_table,
@@ -173,34 +172,30 @@ def block_grid():
 def test_block_grid_monotonic_and_mixed_ppt():
     start = time.perf_counter()
     grid = block_grid()
-    by_temp = {}
-    for row in grid.rows:
-        by_temp.setdefault(row.temperature, []).append(row)
+    e_l = grid.values[..., 1]
 
     area_monotone = True
-    for rows in by_temp.values():
-        rows.sort(key=lambda r: r.area)
-        values = [r.e_l for r in rows]
+    by_area = np.argsort([p.area for p in grid.partitions], kind="stable")
+    for values in e_l[:, by_area].tolist():
         area_monotone &= all(a <= b + 1e-12 for a, b in zip(values, values[1:]))
 
-    temps = sorted(by_temp)
+    by_temp = np.argsort(grid.temperatures, kind="stable")
     temp_monotone = True
-    for pid in {r.partition_id for r in grid.rows}:
-        series = [
-            next(r.e_l for r in by_temp[t] if r.partition_id == pid) for t in temps
-        ]
+    for series in e_l[by_temp].T.tolist():
         temp_monotone &= all(a >= b - 1e-12 for a, b in zip(series, series[1:]))
 
-    hottest = by_temp[0.5]
-    small_ppt = any(r.is_ppt for r in hottest if r.area <= 4)
-    finest = next(r for r in hottest if r.partition_id == "blocks-2^7")
-    mixed = small_ppt and finest.e_n > EPS_PPT
+    hottest = grid.temperatures.index(0.5)
+    small_ppt = any(
+        ppt for p, ppt in zip(grid.partitions, grid.is_ppt[hottest].tolist()) if p.area <= 4
+    )
+    finest_e_n = grid.values[hottest, [p.id for p in grid.partitions].index("blocks-2^7"), 0]
+    mixed = small_ppt and finest_e_n > EPS_PPT
     elapsed = time.perf_counter() - start
     check(
         "block grid: rising in area, falling in T, mixed PPT at the hot end",
         area_monotone and temp_monotone and mixed and elapsed < 120,
         f"area monotone={area_monotone}, T monotone={temp_monotone}, "
-        f"hot-end small-area PPT with finest-block E_N={finest.e_n:.1f}, {elapsed:.1f}s",
+        f"hot-end small-area PPT with finest-block E_N={finest_e_n:.1f}, {elapsed:.1f}s",
     )
 
 
@@ -339,18 +334,24 @@ def test_ring_area_pattern_sharpens_toward_the_threshold():
     start = time.perf_counter()
     spec = ModelSpec(kind="spin_half", topology="ring_nn", n_sites=10, h=1.9)
     grid = sweep(spec, [3.0, 3.25], transfer_sweep(10))
-    rows = {t: sorted((r for r in grid.rows if r.temperature == t), key=lambda r: r.area)
-            for t in (3.0, 3.25)}
+    # (area, is_ppt, E_N) of each partition, by area, per temperature
+    areas = [p.area for p in grid.partitions]
+    rows = {
+        t: sorted(zip(areas, ppt, e_n), key=lambda r: r[0])
+        for t, ppt, e_n in zip(
+            grid.temperatures, grid.is_ppt.tolist(), grid.values[..., 0].tolist()
+        )
+    }
 
     hot = rows[3.25]
-    entangled_areas = [r.area for r in hot if not r.is_ppt]
+    entangled_areas = [area for area, ppt, _ in hot if not ppt]
     split_ok = False
     if entangled_areas:
         a_star = min(entangled_areas)
-        split_ok = all(r.is_ppt for r in hot if r.area < a_star) and any(
-            r.e_n > EPS_PPT for r in hot if r.area >= a_star
+        split_ok = all(ppt for area, ppt, _ in hot if area < a_star) and any(
+            e_n > EPS_PPT for area, _, e_n in hot if area >= a_star
         )
-    n_cool = sum(not r.is_ppt for r in rows[3.0])
+    n_cool = sum(not ppt for _, ppt, _ in rows[3.0])
     n_hot = len(entangled_areas)
     elapsed = time.perf_counter() - start
     check(
@@ -373,21 +374,13 @@ def test_two_qubit_ground_state_negativity_is_one_half():
 
 def synthetic_product_grid():
     spec = ModelSpec(kind="harmonic", topology="ring_nn", n_sites=4, c=0.1)
-    temps = [0.2, 0.4, 0.8]
+    temps = (0.2, 0.4, 0.8)
     profiles = [1.0, 0.5, 0.125]
     areas = {"a": 0.3, "b": 0.9, "c": 2.7, "d": 8.1}
-    rows = []
-    for t, f in zip(temps, profiles):
-        for pid, g in areas.items():
-            e_n = f * g
-            rows.append(
-                SweepRow(
-                    temperature=t, beta=1 / t,
-                    partition_id=pid, partition_mask="+---", area=1,
-                    e_n=e_n, e_l=math.log2(1 + e_n), is_ppt=False,
-                )
-            )
-    return SweepGrid(spec=spec, rows=tuple(rows))
+    e_n = np.outer(profiles, list(areas.values()))
+    values = np.stack([e_n, np.log2(1 + e_n), e_n], axis=-1)
+    parts = tuple(from_mask("+---", pid=pid) for pid in areas)
+    return SweepGrid(spec, temps, parts, values)
 
 
 # First verified computation of the block-grid residual, kept as a

@@ -12,7 +12,6 @@ from thermaneg.analysis import (
     EPS_PPT,
     NotEntangledError,
     SweepGrid,
-    SweepRow,
     ThresholdError,
     bound_entanglement_window,
     make_engine,
@@ -101,25 +100,21 @@ class TestMakeEngine:
 class TestSweep:
     def test_rows_follow_grid_order(self):
         grid = sweep(RING, [0.2, 0.5], [even_odd(8), half_half(8)])
-        assert [(r.temperature, r.partition_id) for r in grid.rows] == [
-            (0.2, "even-odd"),
-            (0.2, "half-half"),
-            (0.5, "even-odd"),
-            (0.5, "half-half"),
-        ]
+        assert grid.temperatures == (0.2, 0.5)
+        assert [p.id for p in grid.partitions] == ["even-odd", "half-half"]
+        assert grid.values.shape == (2, 2, 3)
 
     def test_row_contents(self):
         grid = sweep(RING, [0.0, 0.5], [even_odd(8)])
-        first, second = grid.rows
-        assert first.beta == math.inf and second.beta == 2.0
-        assert first.area == 8 and first.partition_mask == "+-+-+-+-"
-        assert first.e_n > 0 and not first.is_ppt
-        assert first.e_l == pytest.approx(math.log2(1 + first.e_n), rel=1e-12)
+        (part,) = grid.partitions
+        e_n, e_l, _ = grid.values[0, 0].tolist()
+        assert part.area == 8 and part.mask == "+-+-+-+-"
+        assert e_n > 0 and not grid.is_ppt[0, 0]
+        assert e_l == pytest.approx(math.log2(1 + e_n), rel=1e-12)
 
     def test_ppt_flag_uses_the_shared_cutoff(self):
         grid = sweep(RING, [5.0], [even_odd(8)])
-        row = grid.rows[0]
-        assert row.is_ppt and row.e_n < EPS_PPT
+        assert grid.is_ppt[0, 0] and grid.values[0, 0, 0] < EPS_PPT
 
     @pytest.mark.parametrize(
         "spec",
@@ -140,7 +135,7 @@ class TestSweep:
             sweep(spec, [0.5], [good, wrong_size])
 
     def test_clean_grid_takes_one_engine_call(self, grid_calls):
-        assert len(sweep(RING, [0.2, 0.5, 0.0], [even_odd(8), half_half(8)]).rows) == 6
+        assert sweep(RING, [0.2, 0.5, 0.0], [even_odd(8), half_half(8)]).values.shape == (3, 2, 3)
         assert grid_calls == [(3, 2)]
 
     def test_duplicate_inputs_rejected(self):
@@ -151,7 +146,27 @@ class TestSweep:
 
     def test_empty_schedule_gives_empty_grid(self):
         grid = sweep(RING, [], [even_odd(8)])
-        assert grid.rows == ()
+        assert grid.values.shape == (0, 1, 3)
+
+    def test_no_partitions_build_no_engine(self, grid_calls, monkeypatch):
+        monkeypatch.setattr("thermaneg.analysis.make_engine", None)
+        grid = sweep(RING, [0.2, 0.5], [])
+        assert grid.values.shape == (2, 0, 3) and grid_calls == []
+
+    def test_values_must_match_the_labels(self):
+        with pytest.raises(ValueError, match="expected \\(1, 2, 3\\)"):
+            SweepGrid(RING, (0.2,), (even_odd(8), half_half(8)), np.zeros((2, 1, 3)))
+        with pytest.raises(ValueError, match="expected \\(1, 1, 3\\)"):
+            SweepGrid(RING, (0.2,), (even_odd(8),), np.zeros((1, 1, 2)))
+
+    def test_values_are_read_only(self):
+        grid = sweep(RING, [0.2], [even_odd(8)])
+        with pytest.raises(ValueError, match="read-only"):
+            grid.values[0, 0, 0] = 1.0
+        values = np.zeros((1, 1, 3))
+        grid = SweepGrid(RING, (0.2,), (even_odd(8),), values)
+        values[0, 0, 0] = 1.0  # the caller's array stays writeable
+        assert grid.values[0, 0, 0] == 0.0
 
 
 # one model per engine and topology
@@ -205,6 +220,22 @@ class TestNegativityGrid:
         for i, t in enumerate(temps):
             for j, p in enumerate(parts):
                 assert tuple(grid[i, j].tolist()) == cell(engine, t, p)
+
+    @pytest.mark.parametrize(
+        "name, masks",
+        [
+            ("harmonic-ring", ["+-+-+-+-+-+-"]),  # Bloch
+            ("harmonic-ring", ["++++++------"]),  # mirror
+            ("harmonic-ring", ["+++-+--+-++-"]),  # dense, circulant V
+            ("harmonic-star", ["+------", "++++---"]),  # dense
+            ("spin-ring", ["+-+-+-", "+++---"]),
+            ("spin-star", ["+------", "-+-----"]),
+        ],
+        ids=["bloch", "mirror", "dense-ring", "dense-star", "spin-ring", "spin-star"],
+    )
+    def test_empty_schedule_keeps_the_partition_axis(self, name, masks):
+        parts = [from_mask(m, GRID_MODELS[name].topology) for m in masks]
+        assert grid_engine(name).negativity_grid([], parts).shape == (0, len(parts), 3)
 
     @pytest.mark.parametrize(
         "spec, parts, entries",
@@ -454,23 +485,10 @@ class TestWindow:
 
 def synthetic_grid(e_n_table, temps, pids):
     spec = ModelSpec(kind="harmonic", topology="ring_nn", n_sites=4, c=0.1)
-    rows = []
-    for i, t in enumerate(temps):
-        for j, pid in enumerate(pids):
-            e_n = e_n_table[i][j]
-            rows.append(
-                SweepRow(
-                    temperature=t,
-                    beta=1.0 / t,
-                    partition_id=pid,
-                    partition_mask="+---",
-                    area=1,
-                    e_n=e_n,
-                    e_l=math.log2(1 + e_n),
-                    is_ppt=e_n < EPS_PPT,
-                )
-            )
-    return SweepGrid(spec=spec, rows=tuple(rows))
+    e_n = np.array(e_n_table, dtype=float)
+    values = np.stack([e_n, np.log2(1 + e_n), e_n], axis=-1)
+    parts = tuple(from_mask("+---", pid=pid) for pid in pids)
+    return SweepGrid(spec, tuple(temps), parts, values)
 
 
 class TestFactorizability:

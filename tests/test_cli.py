@@ -99,6 +99,23 @@ class TestSweepCommand:
         assert len(lines) == 5
         assert lines[1].startswith("harmonic,ring_nn,8,0.4,0,0.2,5,even-odd,+-+-+-+-,8,")
 
+    def test_rows_put_temperature_outermost(self, tmp_path):
+        code, text = run(tmp_path, *RING_ARGS)
+        assert code == EXIT_OK
+        cells = [line.split(",") for line in text.splitlines()[1:]]
+        assert [(row[5], row[7]) for row in cells] == [
+            ("0.2", "even-odd"),
+            ("0.2", "half-half"),
+            ("0.5", "even-odd"),
+            ("0.5", "half-half"),
+        ]
+
+    def test_zero_temperature_has_infinite_beta(self, tmp_path):
+        code, text = run(tmp_path, *RING_NO_SCHEDULE, "--t-list", "0,0.5")
+        assert code == EXIT_OK
+        betas = [line.split(",")[6] for line in text.splitlines()[1:]]
+        assert betas == ["inf", "2"]
+
     def test_error_column_is_kept_and_empty(self, tmp_path):
         code, text = run(tmp_path, *RING_ARGS)
         assert code == EXIT_OK
@@ -550,6 +567,29 @@ class TestScalingCommand:
             assert float(cells[10]) < 0.01  # nearly size independent
 
 
+    @pytest.mark.parametrize(
+        "roles, ids",
+        [
+            (["blocks:1", "external"], ["blocks-2^1", "external-2"]),
+            (["half-half", "external:3"], ["half-half", "external-3"]),
+        ],
+    )
+    def test_rows_name_the_partition_ids(self, tmp_path, roles, ids):
+        code, text = run(
+            tmp_path,
+            "scaling",
+            "--kind", "harmonic",
+            "--topology", "ring_nn",
+            "--n-list", "8,16",
+            "--c", "0.4",
+            "--certificate", roles[0],
+            "--witness", roles[1],
+            "--tol", "1e-3",
+        )
+        assert code == EXIT_OK
+        assert [line.split(",")[5:7] for line in text.splitlines()[1:]] == [ids, ids]
+
+
 class TestFactorCheckCommand:
     def test_residual_row(self, tmp_path):
         code, text = run(
@@ -568,6 +608,18 @@ class TestFactorCheckCommand:
         cells = lines[1].split(",")
         assert cells[5] == "3" and cells[6] == "4"
         assert float(cells[7]) >= 0
+
+    def test_empty_schedule_has_its_own_message(self, tmp_path, capsys):
+        code, text = run(
+            tmp_path,
+            "factor-check",
+            *RING_MODEL[1:],
+            "--t-list", "",
+            "--families", "even-odd",
+        )
+        assert code == EXIT_NUMERICAL and text is None
+        err = capsys.readouterr().err
+        assert err == "factor-check: empty grid: factorizability needs at least one cell\n"
 
 
 class TestReproduce:
