@@ -5,7 +5,6 @@ threshold temperatures, and bound-entanglement windows.
 
 from .analysis import (
     EPS_PPT,
-    GapTable,
     NotEntangledError,
     SweepGrid,
     ThresholdError,
@@ -16,7 +15,6 @@ from .analysis import (
     rank1_factorizability,
     sweep,
     threshold_temperature,
-    type2_gap_table,
 )
 from .gaussian import GaussianModel
 from .lattice import (

@@ -11,7 +11,9 @@ beside its temperatures and partitions; an input the engine refuses
 raises before any grid exists.  Thresholds are found by one root
 finder (``_root``): a coarse guard scan, taken as one grid call, then
 safeguarded secant steps on the margin, one 1 x 1 grid call each, with
-the bracket moved by the verdict alone.
+the bracket moved by the verdict alone.  A scaling of the threshold
+gap with system size is one ``threshold_temperature`` call per
+partition and size, which the ``scaling`` command makes itself.
 """
 
 from __future__ import annotations
@@ -39,14 +41,11 @@ __all__ = [
     "NotEntangledError",
     "ThresholdResult",
     "WindowResult",
-    "GapRow",
-    "GapTable",
     "make_engine",
     "sweep",
     "threshold_temperature",
     "bound_entanglement_window",
     "rank1_factorizability",
-    "type2_gap_table",
 ]
 
 # A partition is declared PPT when E_N falls below this.  It sits far
@@ -123,27 +122,6 @@ class WindowResult:
     note: str = ""
     midpoint_certificate_e_n: float | None = None
     midpoint_witness_e_n: float | None = None
-
-
-@dataclass(frozen=True)
-class GapRow:
-    n: int
-    t_certificate: float
-    t_witness: float
-    gap: float
-
-
-@dataclass(frozen=True)
-class GapTable:
-    """Threshold gaps across a family of sizes.
-
-    ``max_rel_deviation`` is (max gap - min gap) / |mean gap|; zero for
-    a single row.  A small value says the gap stays constant as the
-    system grows, a large one that it drifts with size.
-    """
-
-    rows: tuple
-    max_rel_deviation: float
 
 
 def make_engine(spec: ModelSpec, max_spin_sites: int = MAX_SPIN_SITES_DEFAULT):
@@ -395,53 +373,18 @@ def rank1_factorizability(grid: SweepGrid) -> float:
     negativity factorizes into a temperature profile times a partition
     profile; a residual well above zero refutes such a factorization.
     Single-row and single-column grids are trivially rank one; a grid
-    with no cells, or with no entanglement, raises ValueError.
+    with no cells, with an E_N that is not finite (inf beyond float
+    range), or with no entanglement, raises ValueError.
     """
     m = grid.values[np.argsort(grid.temperatures, kind="stable"), :, 0]
     if not m.size:
         raise ValueError("empty grid: factorizability needs at least one cell")
+    if not np.all(np.isfinite(m)):
+        raise ValueError("E_N is not finite in some cell: factorizability needs a finite grid")
     if not np.any(m > 0.0):
         raise ValueError("all-zero grid: factorizability is undefined without entanglement")
     if min(m.shape) == 1:
         return 0.0
     s = np.linalg.svd(m, compute_uv=False)
     return float(math.sqrt(float((s[1:] ** 2).sum()) / float((s**2).sum())))
-
-
-def type2_gap_table(
-    model_factory,
-    n_list,
-    certificate_factory,
-    witness_factory,
-    t_lo: float = _DEFAULT_BRACKET[0],
-    t_hi: float = _DEFAULT_BRACKET[1],
-    tol: float = 1e-4,
-    engine_for=None,
-) -> GapTable:
-    """Threshold gap t_witness - t_certificate across system sizes.
-
-    ``model_factory``, ``certificate_factory`` and ``witness_factory``
-    map a size n to the model and the two partitions, and
-    ``engine_for`` maps the model to its engine (``make_engine`` when
-    not given).  The deviation
-    statistic quantifies how constant the gap stays over ``n_list``.
-    """
-    rows = []
-    for n in n_list:
-        spec = model_factory(int(n))
-        engine = (engine_for or make_engine)(spec)
-        t_cert = threshold_temperature(
-            spec, certificate_factory(int(n)), t_lo=t_lo, t_hi=t_hi, tol=tol, engine=engine
-        ).t_threshold
-        t_wit = threshold_temperature(
-            spec, witness_factory(int(n)), t_lo=t_lo, t_hi=t_hi, tol=tol, engine=engine
-        ).t_threshold
-        rows.append(GapRow(n=int(n), t_certificate=t_cert, t_witness=t_wit, gap=t_wit - t_cert))
-    gaps = [r.gap for r in rows]
-    if len(gaps) > 1:
-        mean = sum(gaps) / len(gaps)
-        deviation = (max(gaps) - min(gaps)) / abs(mean) if mean else math.inf
-    else:
-        deviation = 0.0
-    return GapTable(rows=tuple(rows), max_rel_deviation=deviation)
 

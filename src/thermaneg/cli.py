@@ -498,34 +498,33 @@ def cmd_window(exp: Experiment, out: str) -> int:
 
 
 def cmd_scaling(exp: Experiment, out: str) -> int:
-    specs = {spec.n_sites: spec for spec in exp.specs}
-    table = analysis.type2_gap_table(
-        specs.__getitem__,
-        exp.n_list,
-        lambda n: exp.single("certificate", n),
-        lambda n: exp.single("witness", n),
-        tol=exp.tol,
-        engine_for=exp.engine,
-    )
-    rows = [
-        (
-            exp.kind,
-            exp.topology,
-            _fmt(exp.c),
-            _fmt(exp.h),
-            str(r.n),
-            exp.single("certificate", r.n).id,
-            exp.single("witness", r.n).id,
-            _fmt(r.t_certificate),
-            _fmt(r.t_witness),
-            _fmt(r.gap),
-            _fmt(table.max_rel_deviation),
-        )
-        for r in table.rows
-    ]
-    _write_csv(out, SCALING_HEADER, rows)
-    print(f"gap max relative deviation over n={list(exp.n_list)}: "
-          f"{_fmt(table.max_rel_deviation)}")
+    """Each size's certificate and witness thresholds and their gap,
+    t_witness - t_certificate; a threshold that fails fails the run.
+    The last column is (max gap - min gap) / |mean gap| over the sizes,
+    0 for one size: small when the gap stays constant as the system
+    grows, large when it drifts with size."""
+    rows, gaps = [], []
+    for spec in exp.specs:
+        engine = exp.engine(spec)
+        ids, temps = [], []
+        for role in ("certificate", "witness"):
+            part = exp.single(role, spec.n_sites)
+            try:
+                res = analysis.threshold_temperature(spec, part, tol=exp.tol, engine=engine)
+            except ThresholdError as exc:
+                print(f"threshold {part.id} (n={spec.n_sites}): {exc}", file=sys.stderr)
+                return EXIT_NUMERICAL
+            ids.append(part.id)
+            temps.append(res.t_threshold)
+        gaps.append(temps[1] - temps[0])
+        model = (exp.kind, exp.topology, _fmt(exp.c), _fmt(exp.h), str(spec.n_sites))
+        rows.append(model + tuple(ids) + tuple(map(_fmt, (*temps, gaps[-1]))))
+    deviation = 0.0
+    if len(gaps) > 1:
+        mean = sum(gaps) / len(gaps)
+        deviation = (max(gaps) - min(gaps)) / abs(mean) if mean else math.inf
+    _write_csv(out, SCALING_HEADER, [row + (_fmt(deviation),) for row in rows])
+    print(f"gap max relative deviation over n={list(exp.n_list)}: {_fmt(deviation)}")
     return EXIT_OK
 
 

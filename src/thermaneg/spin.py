@@ -122,13 +122,20 @@ class SpinModel:
         and -lambda_min otherwise, so it falls through 0 where E_N
         does.  E_N alone vanishes on the PPT side, and -lambda_min
         alone misplaces the root when the lowest eigenvalue is
-        degenerate (E_N = 2 |lambda_min| for a pair).
+        degenerate (E_N = 2 |lambda_min| for a pair).  Every partition
+        is checked before the first thermal state is built.
         """
+        signs = [label_signs(partition) for partition in partitions]
+        for labels in signs:
+            if len(labels) != self.n:
+                raise ValueError(
+                    f"partition of {len(labels)} sites does not match the {self.n}-site model"
+                )
         grid = np.empty((len(temperatures), len(partitions), 3))
         for i, temperature in enumerate(temperatures):
             rho = self.thermal_rho(temperature)
-            for j, partition in enumerate(partitions):
-                spectrum = _pt_spectrum(rho, partition)
+            for j, labels in enumerate(signs):
+                spectrum = _pt_spectrum(rho, labels)
                 grid[i, j] = _cell(_e_n(spectrum), float(spectrum.min()))
         return grid
 
@@ -270,15 +277,10 @@ def _star_block(two_t: int, two_r: int, h: float) -> np.ndarray:
 
 
 def _transposed(rho, labels: np.ndarray) -> np.ndarray:
-    """Transpose the indices of every site labeled +1."""
-    mat = np.asarray(rho)
+    """Transpose the indices of every site labeled +1 in a 2^n x 2^n state."""
     n = len(labels)
-    dim = mat.shape[0]
-    if mat.shape != (dim, dim) or dim != 2**n:
-        raise ValueError(
-            f"matrix of shape {mat.shape} does not match a {n}-site partition"
-        )
-    tensor = mat.reshape((2,) * (2 * n))
+    dim = rho.shape[0]
+    tensor = rho.reshape((2,) * (2 * n))
     perm = list(range(2 * n))
     for i, sign in enumerate(labels):
         if sign > 0:
@@ -291,9 +293,9 @@ def _e_n(spectrum: np.ndarray) -> float:
     return float(-negative.sum()) if negative.size else 0.0
 
 
-def _pt_spectrum(rho, partition) -> np.ndarray:
+def _pt_spectrum(rho, labels) -> np.ndarray:
     """Eigenvalues of the partial transpose of a ``SpinModel`` state,
-    block by block.
+    block by block, for labels already checked to be +1 or -1.
 
     A state that conserves the magnetisation has a partial transpose
     that is block diagonal in the charge imbalance q = N_B - N_A, the
@@ -303,7 +305,7 @@ def _pt_spectrum(rho, partition) -> np.ndarray:
     zeros between sectors, so no entry of the partial transpose lies
     outside these blocks, and each block is solved alone.
     """
-    labels = label_signs(partition)
+    labels = np.asarray(labels)
     pt = _transposed(rho, labels)
     states = np.arange(pt.shape[0])
     transposed = site_mask(len(labels), np.flatnonzero(labels > 0))

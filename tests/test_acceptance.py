@@ -25,7 +25,6 @@ from thermaneg.analysis import (
     SweepGrid,
     rank1_factorizability,
     sweep,
-    type2_gap_table,
 )
 from thermaneg.cli import main as cli_main
 from thermaneg.gaussian import GaussianModel
@@ -199,28 +198,29 @@ def test_block_grid_monotonic_and_mixed_ppt():
     )
 
 
-def test_threshold_gap_uniform_on_ring_size_dependent_on_star():
+def scaling_deviation(tmp_path, *args):
+    """The gap_max_rel_deviation column of a ``thermaneg scaling`` run."""
+    out = tmp_path / "scaling.csv"
+    assert cli_main(["scaling", *args, "--tol", "1e-4", "--out", str(out)]) == 0
+    header, first = out.read_text().splitlines()[:2]
+    return float(first.split(",")[header.split(",").index("gap_max_rel_deviation")])
+
+
+def test_threshold_gap_uniform_on_ring_size_dependent_on_star(tmp_path):
     start = time.perf_counter()
-    ring = type2_gap_table(
-        lambda n: ModelSpec(kind="harmonic", topology="ring_nn", n_sites=n, c=0.4),
-        [8, 16, 32, 64],
-        lambda n: half_half(n),
-        lambda n: even_odd(n),
-        tol=1e-4,
+    ring = scaling_deviation(
+        tmp_path, "--kind", "harmonic", "--topology", "ring_nn", "--c", "0.4",
+        "--n-list", "8,16,32,64", "--certificate", "half-half", "--witness", "even-odd",
     )
-    star = type2_gap_table(
-        lambda n: ModelSpec(kind="harmonic", topology="star", n_sites=n, c=1.0),
-        [4, 8, 16],
-        lambda n: half_half(n, topology="star"),
-        lambda n: central_vs_rest(n),
-        tol=1e-4,
+    star = scaling_deviation(
+        tmp_path, "--kind", "harmonic", "--topology", "star", "--c", "1.0",
+        "--n-list", "4,8,16", "--certificate", "half-half", "--witness", "central",
     )
     elapsed = time.perf_counter() - start
     check(
         "threshold gap: uniform on the ring, size-dependent on the star",
-        ring.max_rel_deviation < 0.05 and star.max_rel_deviation > 0.05 and elapsed < 300,
-        f"ring deviation {ring.max_rel_deviation:.4f} (< 5%), "
-        f"star deviation {star.max_rel_deviation:.4f} (> 5%), {elapsed:.1f}s",
+        ring < 0.05 and star > 0.05 and elapsed < 300,
+        f"ring deviation {ring:.4f} (< 5%), star deviation {star:.4f} (> 5%), {elapsed:.1f}s",
     )
 
 

@@ -18,7 +18,6 @@ from thermaneg.analysis import (
     rank1_factorizability,
     sweep,
     threshold_temperature,
-    type2_gap_table,
 )
 from thermaneg.gaussian import GaussianModel
 from thermaneg.lattice import ModelSpec
@@ -133,6 +132,8 @@ class TestSweep:
             sweep(spec, [0.5, -1.0], [good])
         with pytest.raises(ValueError, match="does not match"):
             sweep(spec, [0.5], [good, wrong_size])
+        with pytest.raises(ValueError, match="does not match"):
+            sweep(spec, [], [wrong_size])
 
     def test_clean_grid_takes_one_engine_call(self, grid_calls):
         assert sweep(RING, [0.2, 0.5, 0.0], [even_odd(8), half_half(8)]).values.shape == (3, 2, 3)
@@ -515,28 +516,8 @@ class TestFactorizability:
         with pytest.raises(ValueError, match="all-zero"):
             rank1_factorizability(grid)
 
+    def test_rejects_non_finite_grids(self):
+        grid = synthetic_grid([[math.inf, 1.0], [0.5, 0.2]], [0.3, 0.6], ["p1", "p2"])
+        with pytest.raises(ValueError, match="not finite"):
+            rank1_factorizability(grid)
 
-class TestGapTable:
-    def test_ring_gap_is_nearly_size_independent(self):
-        table = type2_gap_table(
-            lambda n: ModelSpec(kind="harmonic", topology="ring_nn", n_sites=n, c=0.4),
-            [8, 16],
-            lambda n: half_half(n),
-            lambda n: even_odd(n),
-            tol=1e-4,
-        )
-        assert [r.n for r in table.rows] == [8, 16]
-        for row in table.rows:
-            assert row.gap == pytest.approx(row.t_witness - row.t_certificate, abs=1e-15)
-            assert row.gap > 0
-        assert table.max_rel_deviation < 0.01
-
-    def test_single_size_has_zero_deviation(self):
-        table = type2_gap_table(
-            lambda n: ModelSpec(kind="harmonic", topology="ring_nn", n_sites=n, c=0.4),
-            [8],
-            lambda n: half_half(n),
-            lambda n: even_odd(n),
-            tol=1e-3,
-        )
-        assert table.max_rel_deviation == 0.0

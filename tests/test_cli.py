@@ -560,12 +560,51 @@ class TestScalingCommand:
         assert code == EXIT_OK
         lines = text.splitlines()
         assert lines[0] == SCALING_HEADER
-        assert len(lines) == 3
+        assert [line.split(",")[4] for line in lines[1:]] == ["8", "16"]
+        gaps = []
         for line in lines[1:]:
             cells = line.split(",")
-            assert float(cells[9]) > 0  # positive gap
-            assert float(cells[10]) < 0.01  # nearly size independent
+            t_cert, t_wit, gap, deviation = map(float, cells[7:11])
+            assert gap == pytest.approx(t_wit - t_cert, abs=1e-9)
+            assert gap > 0
+            assert deviation < 0.01  # nearly size independent
+            gaps.append(gap)
+        mean = sum(gaps) / len(gaps)
+        assert deviation == pytest.approx((max(gaps) - min(gaps)) / abs(mean), abs=1e-9)
 
+    def test_single_size_has_zero_deviation(self, tmp_path, capsys):
+        code, text = run(
+            tmp_path,
+            "scaling",
+            "--kind", "harmonic",
+            "--topology", "ring_nn",
+            "--n-list", "8",
+            "--c", "0.4",
+            "--certificate", "half-half",
+            "--witness", "even-odd",
+            "--tol", "1e-3",
+        )
+        assert code == EXIT_OK
+        (row,) = text.splitlines()[1:]
+        assert row.split(",")[10] == "0"
+        assert capsys.readouterr().out == "gap max relative deviation over n=[8]: 0\n"
+
+    def test_failed_threshold_names_its_partition_and_size(self, tmp_path, capsys):
+        code, text = run(
+            tmp_path,
+            "scaling",
+            "--kind", "spin_half",
+            "--topology", "ring_nn",
+            "--n-list", "6,8",
+            "--h", "4",
+            "--certificate", "half-half",
+            "--witness", "even-odd",
+        )
+        assert code == EXIT_NUMERICAL and text is None
+        assert capsys.readouterr().err == (
+            "threshold half-half (n=6): not entangled at T_lo=0.01 (E_N=0.000e+00); "
+            "no threshold to find\n"
+        )
 
     @pytest.mark.parametrize(
         "roles, ids",
@@ -620,6 +659,21 @@ class TestFactorCheckCommand:
         assert code == EXIT_NUMERICAL and text is None
         err = capsys.readouterr().err
         assert err == "factor-check: empty grid: factorizability needs at least one cell\n"
+
+    def test_infinite_negativity_is_refused(self, tmp_path, capsys):
+        # even-odd on 2048 sites at c = 0.45 and T = 0.01: 2^E_l overflows
+        code, text = run(
+            tmp_path,
+            "factor-check",
+            "--kind", "harmonic",
+            "--topology", "ring_nn",
+            "--n", "2048",
+            "--c", "0.45",
+            "--t-list", "0.01,0.02",
+            "--families", "even-odd,half-half",
+        )
+        assert code == EXIT_NUMERICAL and text is None
+        assert "not finite" in capsys.readouterr().err
 
 
 class TestReproduce:
