@@ -21,10 +21,8 @@ from .lattice import (
     MAX_SPIN_SITES_DEFAULT,
     ModelSpec,
     PotentialMatrix,
-    SpinHamiltonian,
     build_potential,
     build_ring_potential,
-    build_spin_hamiltonian,
     build_star_potential,
 )
 from .partitions import (

@@ -25,13 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gaussian import GaussianModel
-from .lattice import (
-    MAX_SPIN_SITES_DEFAULT,
-    ModelSpec,
-    build_potential,
-    build_spin_hamiltonian,
-    check_spin_sites,
-)
+from .lattice import MAX_SPIN_SITES_DEFAULT, ModelSpec, build_potential, check_spin_sites
 from .spin import SpinModel, SpinStarModel
 
 __all__ = [
@@ -60,6 +54,11 @@ EPS_PPT = 1e-10
 _DEFAULT_BRACKET = (0.01, 20.0)
 
 
+def _ppt(e_n):
+    """The PPT verdict, E_N < EPS_PPT, of a value or of each in an array."""
+    return e_n < EPS_PPT
+
+
 @dataclass(frozen=True, eq=False)
 class SweepGrid:
     """A model's sweep: ``values[i, j]`` holds (E_N, E_l, PPT margin) at
@@ -81,7 +80,7 @@ class SweepGrid:
     @property
     def is_ppt(self) -> np.ndarray:
         """The PPT verdict of every cell, shape (temperatures, partitions)."""
-        return self.values[..., 0] < EPS_PPT
+        return _ppt(self.values[..., 0])
 
 
 class ThresholdError(RuntimeError):
@@ -96,7 +95,7 @@ class NotEntangledError(ThresholdError):
 class ThresholdResult:
     """Outcome of one threshold search.
 
-    The bracket satisfies E_N(bracket_lo) > EPS_PPT >= E_N(bracket_hi)
+    The bracket satisfies E_N(bracket_lo) >= EPS_PPT > E_N(bracket_hi)
     with bracket width at most the requested tolerance, or its ends are
     adjacent floats when the tolerance is below float resolution;
     t_threshold is the bracket midpoint.  ``evaluations`` counts the
@@ -126,15 +125,15 @@ class WindowResult:
 
 def make_engine(spec: ModelSpec, max_spin_sites: int = MAX_SPIN_SITES_DEFAULT):
     """Negativity engine for a model: Gaussian, the collective-spin
-    route for a spin star, or the dense spin engine for a spin ring.
+    route for a spin star, or the sector engine for a spin ring.
     Spin models of more than ``max_spin_sites`` sites are refused on
     either topology."""
     if spec.kind == "harmonic":
         return GaussianModel(build_potential(spec))
+    check_spin_sites(spec.n_sites, max_spin_sites)
     if spec.topology == "star":
-        check_spin_sites(spec.n_sites, max_spin_sites)
         return SpinStarModel(spec.n_sites, spec.h)
-    return SpinModel(build_spin_hamiltonian(spec, max_sites=max_spin_sites))
+    return SpinModel(spec)
 
 
 def _root(probe, ts, scan, tol: float):
@@ -231,7 +230,7 @@ def threshold_temperature(
 
     A guard scan over 8 equally spaced temperatures, one
     ``negativity_grid`` call, locates the largest-T cell where the
-    verdict E_N > EPS_PPT falls, and secant steps on the grid's margin
+    verdict E_N >= EPS_PPT falls, and secant steps on the grid's margin
     column, one 1 x 1 call each, narrow the bracket below ``tol`` (see
     ``_root``).  The partition must be entangled at ``t_lo`` and PPT at
     ``t_hi``, the two ends of the scan; each failure mode gets its own
@@ -254,16 +253,16 @@ def threshold_temperature(
         nonlocal evaluations
         evaluations += len(ts)
         values = engine.negativity_grid(ts, [partition])[:, 0].tolist()
-        return [(e_n > EPS_PPT, margin - EPS_PPT, e_n) for e_n, _, margin in values]
+        return [(not _ppt(e_n), margin - EPS_PPT, e_n) for e_n, _, margin in values]
 
     ts = [float(t) for t in np.linspace(t_lo, t_hi, 8)]
     scan = cells(ts)
     lo_val, hi_val = scan[0][2], scan[-1][2]
-    if lo_val <= EPS_PPT:
+    if _ppt(lo_val):
         raise NotEntangledError(
             f"not entangled at T_lo={t_lo:g} (E_N={lo_val:.3e}); no threshold to find"
         )
-    if hi_val > EPS_PPT:
+    if not _ppt(hi_val):
         raise ThresholdError(
             f"still entangled at T_hi={t_hi:g} (E_N={hi_val:.3e}); enlarge the bracket"
         )
@@ -348,7 +347,7 @@ def bound_entanglement_window(
 
     mid = 0.5 * (lo + hi)
     cert_en, wit_en = engine.negativity_grid([mid], [cert_part, wit_part])[0, :, 0].tolist()
-    if cert_en >= EPS_PPT or wit_en < EPS_PPT:
+    if not _ppt(cert_en) or _ppt(wit_en):
         return empty(
             f"midpoint verification failed at T={mid:g} "
             f"(certificate E_N={cert_en:.3e}, witness E_N={wit_en:.3e})"

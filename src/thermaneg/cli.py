@@ -323,10 +323,10 @@ class Experiment:
                 f"model.n={n} exceeds run.max_spin_sites={self.max_spin_sites} "
                 f"(raise it with --max-spin-sites or run.max_spin_sites)"
             )
-        # log2 of the bytes of the engine's largest array: V (n x n), a
-        # spin ring's H (2^n x 2^n), or a spin star's top block (at
-        # least 2n x 2n for any partition); checked before any O(n)
-        # partition list is built
+        # log2 of the bytes of the engine's largest array: V (n x n), at
+        # most 4^n entries for a spin ring (its sector blocks hold
+        # C(2n, n)), or a spin star's top block (at least 2n x 2n for any
+        # partition); checked before any O(n) partition list is built
         if spec.kind == "spin_half" and spec.topology == "ring_nn":
             log2_bytes = 3 + 2 * n
         else:

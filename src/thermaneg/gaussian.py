@@ -67,21 +67,17 @@ class GaussianModel:
     Every quantity of interest is a spectral function of V, so one
     eigenbasis serves all temperatures and all partitions.  The model
     reads V's spectrum from its ``PotentialMatrix``, which finds and
-    checks it (a bare array is wrapped in one as it is, so it must be
-    exactly symmetric).  A circulant V (the ring) brings no
-    eigenvectors: its eigenbasis is the real Fourier basis of mirror
-    centre 0, built on the first dense-route spectrum that needs it,
-    never on the Bloch route.  The spectrum of A A^T is taken by one of
-    three routes, Bloch, mirror or dense, picked from the input with no
-    option (see the module docstring).
+    checks it; any other argument is a TypeError.  A circulant V (the
+    ring) brings no eigenvectors: its eigenbasis is the real Fourier
+    basis of mirror centre 0, built on the first dense-route spectrum
+    that needs it, never on the Bloch route.  The spectrum of A A^T is
+    taken by one of three routes, Bloch, mirror or dense, picked from
+    the input with no option (see the module docstring).
     """
 
     def __init__(self, potential):
         if not isinstance(potential, PotentialMatrix):
-            v = np.asarray(potential, dtype=float)
-            if v.ndim != 2 or v.shape[0] != v.shape[1]:
-                raise ValueError(f"potential must be square, got shape {v.shape}")
-            potential = PotentialMatrix(v.shape[0], v)
+            raise TypeError(f"expected a PotentialMatrix, got {type(potential).__name__}")
         self.n = n = potential.n
         # frequencies s and eigenvectors u, None exactly when V is
         # circulant: then the Bloch route uses the periods L with n/L >= 4

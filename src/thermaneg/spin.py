@@ -1,16 +1,18 @@
 """Exact thermal states of the spin-1/2 models and their negativity.
 
-States are dense matrices in the computational basis, where the
-XX-with-field Hamiltonians are real symmetric; density matrices and
-their partial transposes are then real symmetric too and a symmetric
-eigensolver applies throughout.  The Hamiltonians conserve the
-magnetisation, so the eigensolves run per magnetisation sector, and
-those of the partial transpose per charge-imbalance block.
+States live in the computational basis, where the XX-with-field
+Hamiltonians are real symmetric; density matrices and their partial
+transposes are then real symmetric too and a symmetric eigensolver
+applies throughout.  The Hamiltonians conserve the magnetisation, so
+``SpinModel`` builds, diagonalizes and keeps its states sector by
+sector, and gathers each charge-imbalance block of the partial
+transpose straight from those sector blocks: no 2^n x 2^n matrix is
+formed.
 
-The XX star with field takes a second route, ``SpinStarModel``, which
-never forms a 2^n matrix: its outer sites couple to the hub only
-through their total spin, so the state splits into small collective-spin
-blocks (see the class docstring).
+The XX star with field takes a second route, ``SpinStarModel``, with
+smaller blocks still: its outer sites couple to the hub only through
+their total spin, so the state splits into collective-spin blocks (see
+the class docstring).
 
 E_N sums the absolute values of the negative eigenvalues of the
 partially transposed state and E_l = log2(1 + E_N).  See the module
@@ -24,7 +26,7 @@ import math
 
 import numpy as np
 
-from .lattice import popcount, site_mask, stacked, temperature_array
+from .lattice import ModelSpec, popcount, site_mask, stacked, temperature_array, topology_edges
 from .partitions import label_signs
 
 __all__ = [
@@ -75,48 +77,89 @@ def _boltzmann(excitations: np.ndarray, temperatures: np.ndarray) -> np.ndarray:
     return weights
 
 
-class SpinModel:
-    """One spin Hamiltonian with its eigendecomposition cached.
+def _sector_hamiltonians(spec: ModelSpec) -> list:
+    """(states, H block) of each magnetisation sector, k = 0 .. n set
+    bits in turn, its basis indices ascending.  Site i (0-based) is bit
+    n-1-i, as ``site_mask`` and ``popcount`` read it, and a set bit is a
+    down spin: the field h sigma_z of every site puts h (n - 2k) on the
+    diagonal, and each bond's exchange -(sigma_x sigma_x + sigma_y
+    sigma_y) puts -2 between the two states that its flip of two unequal
+    bits joins.
+    """
+    n = spec.n_sites
+    masks = [site_mask(n, bond) for bond in topology_edges(spec.topology, n)]
+    sectors = []
+    for k, states in enumerate(_groups(popcount(np.arange(2**n)))):
+        block = np.zeros((len(states), len(states)))
+        # added to 0.0, so that a field term of -0.0 enters eigh as 0.0
+        block[np.diag_indices_from(block)] += spec.h * (n - 2 * k)
+        for mask in masks:
+            flips = states[popcount(states & mask) == 1]
+            block[np.searchsorted(states, flips ^ mask), np.searchsorted(states, flips)] = -2.0
+        sectors.append((states, block))
+    return sectors
 
-    The Hamiltonian must conserve the magnetisation (the number of set
-    bits of the basis index), as the XX-with-field models do; it is
-    diagonalized once, sector by sector.  Gibbs states at any
-    temperature are then two matrix products per sector away.
+
+class SpinModel:
+    """The spin-1/2 XX model with field, diagonalized once, sector by
+    sector; Gibbs states at any temperature are then two matrix products
+    per sector away.  No 2^n x 2^n matrix is formed.
     """
 
-    def __init__(self, hamiltonian):
-        self.n = hamiltonian.n
-        ham = np.asarray(hamiltonian.entries)
-        self._sectors = _groups(popcount(np.arange(ham.shape[0])))
-        blocks = [ham[np.ix_(idx, idx)] for idx in self._sectors]
-        # the sector blocks must hold every nonzero entry (an exact count)
-        if sum(np.count_nonzero(block) for block in blocks) != np.count_nonzero(ham):
-            raise ValueError("spin Hamiltonian couples different magnetisation sectors")
-        pairs = [np.linalg.eigh(block) for block in blocks]
+    def __init__(self, spec: ModelSpec):
+        if spec.kind != "spin_half":
+            raise ValueError(f"expected a spin model, got kind={spec.kind!r}")
+        self.n = spec.n_sites
+        sectors = _sector_hamiltonians(spec)
+        pairs = [np.linalg.eigh(block) for _, block in sectors]
         energies = np.concatenate([evals for evals, _ in pairs])
         self._excitations = _excitations(energies, energies.min())
         self._evecs = [evecs for _, evecs in pairs]
+        # entry (s, t) of a sector block is entry _row[s] + _column[t] of a state
+        self._row, self._column = np.empty((2, 2**self.n), dtype=np.intp)
+        start = 0
+        for states, _ in sectors:
+            self._row[states] = start + len(states) * np.arange(len(states))
+            self._column[states] = np.arange(len(states))
+            start += len(states) ** 2
 
     def thermal_rho(self, temperature: float) -> np.ndarray:
-        """Gibbs state exp(-H/T), normalized; T = 0 gives the uniform
-        mixture over the ground eigenspace (the zero-temperature limit).
+        """Gibbs state exp(-H/T), normalized, as its sector blocks in
+        ``_sector_hamiltonians`` order, raveled end to end.  T = 0 gives
+        the uniform mixture over the ground eigenspace (the
+        zero-temperature limit).
         """
         w = _boltzmann(self._excitations, temperature_array([temperature]))[0]
         w /= w.sum()
-        dim = len(w)
-        rho = np.zeros((dim, dim))
-        start = 0
-        for idx, evecs in zip(self._sectors, self._evecs):
-            w_sector = w[start:start + len(idx)]
-            start += len(idx)
-            rho[np.ix_(idx, idx)] = _sym((evecs * w_sector) @ evecs.T)
-        return rho
+        ends = np.cumsum([len(evecs) for evecs in self._evecs])[:-1]
+        return np.concatenate([_sym((evecs * w_sector) @ evecs.T).ravel()
+                               for evecs, w_sector in zip(self._evecs, np.split(w, ends))])
+
+    def _charge_blocks(self, labels):
+        """Indices into a ``thermal_rho`` state of each block of its
+        partial transpose, for labels already checked to be +1 or -1.
+
+        The blocks are those of one charge imbalance q = N_B - N_A, the
+        set bits outside the transposed sites A minus those inside
+        (Cornfeld, Goldstein & Sela, PRA 98, 032302 (2018)).  Entry
+        (x, y) of the partial transpose is entry (x', y') of the state,
+        x' = (x & ~A) | (y & A) and y' = (y & ~A) | (x & A); for x and y
+        of one charge, x' and y' share a sector, so the blocks read each
+        entry of the sector blocks once.
+        """
+        transposed = site_mask(self.n, np.flatnonzero(np.asarray(labels) > 0))
+        states = np.arange(2**self.n)
+        charge = popcount(states) - 2 * popcount(states & transposed)
+        for idx in _groups(charge):
+            inside, outside = idx & transposed, idx & ~transposed
+            yield (self._row[outside[:, None] | inside[None, :]]
+                   + self._column[inside[:, None] | outside[None, :]])
 
     def negativity_grid(self, temperatures, partitions) -> np.ndarray:
         """(E_N, E_l, margin) of every cell, shape (temperatures,
         partitions, 3): one thermal state per temperature serves all its
-        partitions, and one spectrum of the partial transpose gives a
-        cell's three values.
+        partitions, and one spectrum of the partial transpose, solved
+        charge block by charge block, gives a cell's three values.
 
         The margin is E_N while some eigenvalue lies below the cutoff
         and -lambda_min otherwise, so it falls through 0 where E_N
@@ -135,7 +178,8 @@ class SpinModel:
         for i, temperature in enumerate(temperatures):
             rho = self.thermal_rho(temperature)
             for j, labels in enumerate(signs):
-                spectrum = _pt_spectrum(rho, labels)
+                blocks = self._charge_blocks(labels)
+                spectrum = np.concatenate([np.linalg.eigvalsh(rho[idx]) for idx in blocks])
                 grid[i, j] = _cell(_e_n(spectrum), float(spectrum.min()))
         return grid
 
@@ -276,40 +320,6 @@ def _star_block(two_t: int, two_r: int, h: float) -> np.ndarray:
     )
 
 
-def _transposed(rho, labels: np.ndarray) -> np.ndarray:
-    """Transpose the indices of every site labeled +1 in a 2^n x 2^n state."""
-    n = len(labels)
-    dim = rho.shape[0]
-    tensor = rho.reshape((2,) * (2 * n))
-    perm = list(range(2 * n))
-    for i, sign in enumerate(labels):
-        if sign > 0:
-            perm[i], perm[n + i] = perm[n + i], perm[i]
-    return tensor.transpose(perm).reshape(dim, dim)
-
-
 def _e_n(spectrum: np.ndarray) -> float:
     negative = spectrum[spectrum < NEGATIVE_EIGENVALUE_CUTOFF]
     return float(-negative.sum()) if negative.size else 0.0
-
-
-def _pt_spectrum(rho, labels) -> np.ndarray:
-    """Eigenvalues of the partial transpose of a ``SpinModel`` state,
-    block by block, for labels already checked to be +1 or -1.
-
-    A state that conserves the magnetisation has a partial transpose
-    that is block diagonal in the charge imbalance q = N_B - N_A, the
-    set bits outside the transposed block minus those inside it, that
-    is N - 2 N_A (Cornfeld, Goldstein & Sela, PRA 98, 032302 (2018)).
-    ``thermal_rho`` fills the state sector by sector and leaves exact
-    zeros between sectors, so no entry of the partial transpose lies
-    outside these blocks, and each block is solved alone.
-    """
-    labels = np.asarray(labels)
-    pt = _transposed(rho, labels)
-    states = np.arange(pt.shape[0])
-    transposed = site_mask(len(labels), np.flatnonzero(labels > 0))
-    charge = popcount(states) - 2 * popcount(states & transposed)
-    return np.concatenate(
-        [np.linalg.eigvalsh(pt[np.ix_(idx, idx)]) for idx in _groups(charge)]
-    )

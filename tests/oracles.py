@@ -12,7 +12,9 @@
   V^{-1/2} in closed form, and the single-mode negativity of their
   product.
 * XX-plus-field Hamiltonian from Kronecker products of Pauli matrices,
-  with its own bond list, for the bit-arithmetic spin builder.
+  with its own bond list, for the sector-by-sector spin builder, and
+  its dense Gibbs states by its own ``eigh``, for the spin engines'
+  sector-block states.
 * dense partial transpose from basis-index bit swaps, with its own
   site-to-bit mask, for the spin engines' partial transposes.
 * hub-vs-rest E_N of the spin star from the outer sites' total spin,
@@ -156,6 +158,34 @@ def xx_field_hamiltonian(topology: str, n: int, h: float) -> np.ndarray:
         ham = ham - product({i: "x", j: "x"}) - product({i: "y", j: "y"})
     assert not np.any(ham.imag)
     return ham.real
+
+
+# Eigenstates within this of the lowest energy share its weight, so
+# that T = 0 gives the uniform mixture over the ground space.
+_GROUND_ATOL = 1e-10
+
+
+def xx_field_gibbs_states(topology: str, n: int, h: float, temperatures) -> list:
+    """Dense Gibbs states exp(-H/T) / Z of ``xx_field_hamiltonian``, one
+    per temperature, from one ``eigh`` of the 2^n x 2^n matrix.
+
+    Energies are taken above the lowest, and those within _GROUND_ATOL
+    of it count as 0, so T = 0 weighs the ground space alone.
+    """
+    evals, evecs = np.linalg.eigh(xx_field_hamiltonian(topology, n, h))
+    excitations = evals - evals[0]
+    excitations[excitations <= _GROUND_ATOL] = 0.0
+    states = []
+    for t in temperatures:
+        if t == 0.0:
+            w = (excitations == 0.0).astype(float)
+        else:
+            with np.errstate(over="ignore"):
+                w = np.exp(-excitations / t)
+        w /= w.sum()
+        rho = (evecs * w) @ evecs.T
+        states.append(0.5 * (rho + rho.T))
+    return states
 
 
 def partial_transpose(rho, partition) -> np.ndarray:

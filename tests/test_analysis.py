@@ -34,12 +34,12 @@ RING = ModelSpec(kind="harmonic", topology="ring_nn", n_sites=8, c=0.4)
 
 
 def assert_bracket_contract(engine, partition, res):
-    """E_N(lo) > EPS_PPT >= E_N(hi), width <= tol, midpoint reported."""
+    """E_N(lo) >= EPS_PPT > E_N(hi), width <= tol, midpoint reported."""
     lo, hi = res.bracket
     assert lo < hi and hi - lo <= res.tolerance
     assert res.t_threshold == 0.5 * (lo + hi)
-    assert cell(engine, lo, partition)[0] > EPS_PPT
-    assert cell(engine, hi, partition)[0] <= EPS_PPT
+    assert cell(engine, lo, partition)[0] >= EPS_PPT
+    assert cell(engine, hi, partition)[0] < EPS_PPT
 
 
 @pytest.fixture
@@ -357,8 +357,8 @@ class TestThreshold:
         res = threshold_temperature(RING, even_odd(8), tol=1e-300, engine=engine)
         lo, hi = res.bracket
         assert hi == np.nextafter(lo, math.inf)
-        assert cell(engine, lo, even_odd(8))[0] > EPS_PPT
-        assert cell(engine, hi, even_odd(8))[0] <= EPS_PPT
+        assert cell(engine, lo, even_odd(8))[0] >= EPS_PPT
+        assert cell(engine, hi, even_odd(8))[0] < EPS_PPT
         assert res.t_threshold in (lo, hi)
 
 
@@ -380,6 +380,16 @@ def evaluation_bound(t_lo, t_hi, tol, scan_points=8):
 
 
 class TestRootFinder:
+    def test_e_n_at_the_cutoff_is_entangled_in_sweep_and_threshold(self):
+        # one rule, E_N < EPS_PPT is PPT: a cell at the cutoff is
+        # entangled in a sweep and at both ends of a threshold bracket
+        engine = StubEngine(lambda t: EPS_PPT, lambda t: EPS_PPT)
+        grid = sweep(RING, [0.01, 20.0], [even_odd(8)], engine=engine)
+        assert grid.is_ppt.tolist() == [[False], [False]]
+        with pytest.raises(ThresholdError, match="still entangled at T_hi") as exc:
+            threshold_temperature(RING, even_odd(8), engine=engine)
+        assert not isinstance(exc.value, NotEntangledError)
+
     def test_reentrant_margin_warns_and_refines_the_largest_crossing(self):
         # entangled below 2 and again on (5, 9), crossings farther apart
         # than the scan spacing of 20/7

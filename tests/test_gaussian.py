@@ -413,8 +413,6 @@ class TestRingBuild:
         v = np.eye(n) - c * (np.eye(n, k=1) + np.eye(n, k=-1))
         v[0, -1] = v[-1, 0] = -c
         with pytest.raises(ValueError, match="must be positive definite"):
-            GaussianModel(v)
-        with pytest.raises(ValueError, match="must be positive definite"):
             PotentialMatrix(n=n, entries=v)
 
     @pytest.mark.parametrize("n", [2, 3, 7, 16, 64])
@@ -458,21 +456,6 @@ class TestPotentialSpectrum:
         assert calls == []
 
     @pytest.mark.parametrize(
-        "v, p",
-        [
-            (build_ring_potential(256, 0.4), even_odd(256)),
-            (build_ring_potential(256, 0.4), half_half(256)),
-            (build_ring_potential(256, 0.4), ASYMMETRIC_256),
-            (build_star_potential(16, 1.0), central_vs_rest(16)),
-        ],
-        ids=["bloch", "mirror", "ring-dense", "star-dense"],
-    )
-    def test_bare_array_matches_its_potential_matrix_bit_for_bit(self, v, p):
-        wrapped, bare = GaussianModel(v), GaussianModel(np.array(v.entries))
-        for t in (0.0, 0.5, 2.0):
-            assert np.array_equal(wrapped._spectrum([t], p), bare._spectrum([t], p))
-
-    @pytest.mark.parametrize(
         "v",
         [
             np.ones((3, 4)),
@@ -485,7 +468,11 @@ class TestPotentialSpectrum:
     )
     def test_invalid_bare_arrays_rejected(self, v):
         with pytest.raises(ValueError):
-            GaussianModel(v)
+            PotentialMatrix(v.shape[0], v)
+
+    def test_bare_array_is_refused(self):
+        with pytest.raises(TypeError, match="expected a PotentialMatrix, got ndarray"):
+            GaussianModel(np.eye(4))
 
 
 class TestStarClosedForm:

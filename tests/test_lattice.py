@@ -7,15 +7,24 @@ from oracles import xx_field_hamiltonian
 from thermaneg.lattice import (
     ModelSpec,
     PotentialMatrix,
-    SpinHamiltonian,
     build_potential,
     build_ring_potential,
-    build_spin_hamiltonian,
     build_star_potential,
     popcount,
     site_mask,
     topology_edges,
 )
+from thermaneg.spin import SpinModel, _sector_hamiltonians
+
+
+def spin_hamiltonian(**kwargs):
+    """The spin model's sector blocks of H scattered into one dense
+    2^n x 2^n matrix."""
+    spec = ModelSpec(kind="spin_half", **kwargs)
+    ham = np.zeros((2**spec.n_sites, 2**spec.n_sites))
+    for states, block in _sector_hamiltonians(spec):
+        ham[np.ix_(states, states)] = block
+    return ham
 
 
 class TestModelSpec:
@@ -184,6 +193,19 @@ class TestPotentialSpectrum:
             PotentialMatrix(n=n, entries=m)
 
 
+    @pytest.mark.parametrize("n", [2, 64, 128, 256])
+    def test_symmetry_check_finds_any_one_asymmetric_entry(self, n):
+        # the check compares row and column slabs of 64; every entry of
+        # the n x n matrix, across slab edges too, must be seen
+        base = build_ring_potential(n, 0.4).entries
+        cells = {(0, n - 1), (n - 1, 0), (n - 1, n - 2)}
+        cells |= {(i, j) for i in range(0, n, 37) for j in range(0, n, 29) if i != j}
+        for i, j in sorted(cells):
+            entries = base.copy()
+            entries[i, j] += 0.25
+            with pytest.raises(ValueError, match="must be exactly symmetric"):
+                PotentialMatrix(n=n, entries=entries)
+
     def test_nested_list_entries_are_converted(self):
         v = PotentialMatrix(n=2, entries=[[1, 0], [0, 1]])
         assert v.entries.dtype == np.float64 and np.array_equal(v.entries, np.eye(2))
@@ -207,15 +229,11 @@ class TestBuildPotential:
 
 class TestSpinHamiltonian:
     def test_two_site_spectrum_without_field(self):
-        ham = build_spin_hamiltonian(
-            ModelSpec(kind="spin_half", topology="ring_nn", n_sites=2)
-        )
-        assert np.allclose(np.linalg.eigvalsh(ham.entries), [-2.0, 0.0, 0.0, 2.0])
+        ham = spin_hamiltonian(topology="ring_nn", n_sites=2)
+        assert np.allclose(np.linalg.eigvalsh(ham), [-2.0, 0.0, 0.0, 2.0])
 
     def test_two_site_matrix_with_field(self):
-        ham = build_spin_hamiltonian(
-            ModelSpec(kind="spin_half", topology="ring_nn", n_sites=2, h=1.9)
-        )
+        ham = spin_hamiltonian(topology="ring_nn", n_sites=2, h=1.9)
         expected = np.array(
             [
                 [3.8, 0.0, 0.0, 0.0],
@@ -224,97 +242,36 @@ class TestSpinHamiltonian:
                 [0.0, 0.0, 0.0, -3.8],
             ]
         )
-        assert np.allclose(ham.entries, expected)
+        assert np.allclose(ham, expected)
 
     def test_single_site_is_field_only(self):
-        ham = build_spin_hamiltonian(
-            ModelSpec(kind="spin_half", topology="ring_nn", n_sites=1, h=1.9)
-        )
-        assert np.allclose(ham.entries, np.diag([1.9, -1.9]))
+        ham = spin_hamiltonian(topology="ring_nn", n_sites=1, h=1.9)
+        assert np.allclose(ham, np.diag([1.9, -1.9]))
 
     def test_exchange_element_on_the_star(self):
         # flipping the antiparallel pair (hub, site 2) sends |011> to |101>
-        ham = build_spin_hamiltonian(ModelSpec(kind="spin_half", topology="star", n_sites=3))
-        assert ham.entries[0b101, 0b011] == -2.0
-        assert ham.entries[0b011, 0b101] == -2.0
+        ham = spin_hamiltonian(topology="star", n_sites=3)
+        assert ham[0b101, 0b011] == -2.0
+        assert ham[0b011, 0b101] == -2.0
         # outer sites carry no bond of their own, so exchanging them
         # (|001> to |010>) is not a matrix element of the star
-        assert ham.entries[0b010, 0b001] == 0.0
+        assert ham[0b010, 0b001] == 0.0
 
     def test_matrix_is_real_symmetric(self):
-        ham = build_spin_hamiltonian(
-            ModelSpec(kind="spin_half", topology="ring_nn", n_sites=5, h=0.7)
-        )
-        assert np.array_equal(ham.entries, ham.entries.T)
-        assert ham.entries.dtype == np.float64
-
-    def test_nonsymmetric_matrix_refused(self):
-        # one triangle of an exchange term: read as the lower triangle it
-        # would be a model without the bond (E_N = 0 instead of 0.5 at T = 0)
-        entries = np.zeros((4, 4))
-        entries[1, 2] = -2.0
-        with pytest.raises(ValueError, match="must be exactly symmetric"):
-            SpinHamiltonian(n=2, entries=entries)
-        entries[2, 1] = -2.0
-        SpinHamiltonian(n=2, entries=entries)
-
-    @pytest.mark.parametrize("n", [1, 6, 7, 8])
-    def test_symmetry_check_finds_any_one_asymmetric_entry(self, n):
-        # the check compares row and column slabs of 64; every entry of
-        # the 2^n x 2^n matrix, across slab edges too, must be seen
-        dim = 2**n
-        base = build_spin_hamiltonian(
-            ModelSpec(kind="spin_half", topology="ring_nn", n_sites=n, h=0.7)
-        ).entries
-        cells = {(0, dim - 1), (dim - 1, 0), (dim - 1, dim - 2)}
-        cells |= {(i, j) for i in range(0, dim, 37) for j in range(0, dim, 29) if i != j}
-        for i, j in sorted(cells):
-            entries = base.copy()
-            entries[i, j] += 0.25
-            with pytest.raises(ValueError, match="must be exactly symmetric"):
-                SpinHamiltonian(n=n, entries=entries)
+        spec = ModelSpec(kind="spin_half", topology="ring_nn", n_sites=5, h=0.7)
+        for _, block in _sector_hamiltonians(spec):
+            assert np.array_equal(block, block.T)
+            assert block.dtype == np.float64
 
     def test_field_term_counts_spins(self):
         # the all-up state |000> sits at +3h, the all-down state at -3h
-        ham = build_spin_hamiltonian(
-            ModelSpec(kind="spin_half", topology="ring_nn", n_sites=3, h=0.5)
-        )
-        assert ham.entries[0, 0] == pytest.approx(1.5)
-        assert ham.entries[7, 7] == pytest.approx(-1.5)
-
-    def test_site_cap_enforced(self):
-        with pytest.raises(ValueError):
-            build_spin_hamiltonian(
-                ModelSpec(kind="spin_half", topology="ring_nn", n_sites=9), max_sites=8
-            )
+        ham = spin_hamiltonian(topology="ring_nn", n_sites=3, h=0.5)
+        assert ham[0, 0] == pytest.approx(1.5)
+        assert ham[7, 7] == pytest.approx(-1.5)
 
     def test_rejects_harmonic_specs(self):
         with pytest.raises(ValueError):
-            build_spin_hamiltonian(
-                ModelSpec(kind="harmonic", topology="ring_nn", n_sites=4, c=0.1)
-            )
-
-    def test_entries_are_read_only(self):
-        ham = build_spin_hamiltonian(ModelSpec(kind="spin_half", topology="ring_nn", n_sites=2))
-        with pytest.raises(ValueError):
-            ham.entries[0, 0] = 1.0
-
-    def test_nested_list_entries_are_converted(self):
-        ham = SpinHamiltonian(n=1, entries=[[1, 0], [0, -1]])
-        assert ham.entries.dtype == np.float64
-        assert np.array_equal(ham.entries, np.diag([1.0, -1.0]))
-        with pytest.raises(ValueError):
-            ham.entries[0, 0] = 2.0
-        with pytest.raises(ValueError, match="shape"):
-            SpinHamiltonian(n=1, entries=[1, 0, 0, -1])
-
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-    def test_non_finite_entries_refused(self, value):
-        # placed symmetrically, so only the finiteness check can name it
-        entries = np.zeros((4, 4))
-        entries[1, 2] = entries[2, 1] = value
-        with pytest.raises(ValueError, match="non-finite entries"):
-            SpinHamiltonian(n=2, entries=entries)
+            SpinModel(ModelSpec(kind="harmonic", topology="ring_nn", n_sites=4, c=0.1))
 
     def test_site_to_bit_convention(self):
         # site 1 is the most significant bit; a set bit is a down spin
@@ -326,7 +283,6 @@ class TestSpinHamiltonian:
     @pytest.mark.parametrize("topology", ["ring_nn", "star"])
     def test_matches_the_kronecker_oracle(self, topology, n):
         for h in (0.0, 0.7, -1.3):
-            spec = ModelSpec(kind="spin_half", topology=topology, n_sites=n, h=h)
-            gap = np.max(np.abs(build_spin_hamiltonian(spec).entries
+            gap = np.max(np.abs(spin_hamiltonian(topology=topology, n_sites=n, h=h)
                                 - xx_field_hamiltonian(topology, n, h)))
             assert gap <= 1e-12, h

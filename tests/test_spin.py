@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from thermaneg import analysis
 from thermaneg.analysis import EPS_PPT
-from thermaneg.lattice import ModelSpec, SpinHamiltonian, build_spin_hamiltonian
+from thermaneg.lattice import ModelSpec
 from thermaneg.partitions import (
     alternating_blocks,
     central_vs_rest,
@@ -24,22 +25,60 @@ from thermaneg.spin import (
     SpinModel,
     SpinStarModel,
     _multiplicities,
-    _pt_spectrum,
 )
-from oracles import partial_transpose, spin_star_hub_negativity
+from oracles import (
+    partial_transpose,
+    spin_star_hub_negativity,
+    xx_field_gibbs_states,
+    xx_field_hamiltonian,
+)
 from test_acceptance import spin_star_hub_oracle
 
 
+def spin_model(topology, n, h=0.0):
+    return SpinModel(ModelSpec(kind="spin_half", topology=topology, n_sites=n, h=h))
+
+
 def ring(n, h=0.0):
-    return build_spin_hamiltonian(ModelSpec(kind="spin_half", topology="ring_nn", n_sites=n, h=h))
+    return spin_model("ring_nn", n, h)
 
 
 def star(n, h=0.0):
-    return build_spin_hamiltonian(ModelSpec(kind="spin_half", topology="star", n_sites=n, h=h))
+    return spin_model("star", n, h)
 
 
-def thermal_rho(hamiltonian, temperature):
-    return SpinModel(hamiltonian).thermal_rho(temperature)
+def sectors(n):
+    """Basis indices of each magnetisation sector, 0 .. n set bits in
+    turn, in ascending order."""
+    return [[b for b in range(2**n) if bin(b).count("1") == k] for k in range(n + 1)]
+
+
+def thermal_rho(model, temperature):
+    """The model's Gibbs state as a dense 2^n x 2^n matrix: its sector
+    blocks, raveled end to end in ``sectors`` order, scattered back."""
+    blocks = model.thermal_rho(temperature)
+    rho = np.zeros((2**model.n, 2**model.n))
+    start = 0
+    for idx in sectors(model.n):
+        dim = len(idx)
+        rho[np.ix_(idx, idx)] = blocks[start:start + dim * dim].reshape(dim, dim)
+        start += dim * dim
+    assert start == len(blocks)
+    return rho
+
+
+def charge_block_spectrum(rho, labels):
+    """Eigenvalues of the partial transpose of a dense state, one charge
+    block at a time: the set bits outside the transposed (+1) sites
+    minus those inside, site i being bit n-1-i."""
+    n = len(labels)
+    bits = (np.arange(2**n)[:, None] >> (n - 1 - np.arange(n))) & 1
+    charge = bits @ np.where(np.asarray(labels) > 0, -1, 1)
+    pt = partial_transpose(rho, labels)
+    return np.concatenate([
+        np.linalg.eigvalsh(pt[np.ix_(idx, idx)])
+        for idx in (np.flatnonzero(charge == q) for q in np.unique(charge))
+    ])
 
 
 def dense_oracle(rho, partition):
@@ -70,25 +109,20 @@ def every_family(n, topology):
 
 
 class TestThermalState:
-    def test_hamiltonian_coupling_two_sectors_is_refused(self):
-        # a transverse sigma_x on site 2 couples |00> to |01>: the total
-        # magnetisation is not conserved
-        entries = np.diag([1.0, 0.0, 0.0, -1.0])
-        entries[0, 1] = entries[1, 0] = 0.3
-        with pytest.raises(ValueError, match="magnetisation"):
-            SpinModel(SpinHamiltonian(n=2, entries=entries))
-
-    def test_entries_between_sectors_are_exactly_zero(self):
-        model = SpinModel(star(5, h=0.7))
-        bits = np.array([bin(b).count("1") for b in range(32)])
-        for t in (0.0, 0.5):
-            rho = model.thermal_rho(t)
-            assert not rho[bits[:, None] != bits[None, :]].any()
+    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("topology", ["ring_nn", "star"])
+    def test_matches_the_dense_oracle(self, topology, n):
+        temps = (0.0, 0.5, 2.0, math.inf)
+        for h in (0.0, 0.7, -1.3):
+            model = spin_model(topology, n, h)
+            oracle = xx_field_gibbs_states(topology, n, h, temps)
+            for t, expected in zip(temps, oracle):
+                assert np.max(np.abs(thermal_rho(model, t) - expected)) <= 1e-12, (h, t)
 
     def test_gibbs_state_basics(self):
-        model = SpinModel(ring(4, h=0.7))
+        model = ring(4, h=0.7)
         for t in (0.0, 0.5, 2.0):
-            rho = model.thermal_rho(t)
+            rho = thermal_rho(model, t)
             assert np.trace(rho) == pytest.approx(1.0, abs=1e-12)
             assert np.array_equal(rho, rho.T)
             assert np.linalg.eigvalsh(rho)[0] > -1e-13
@@ -105,10 +139,9 @@ class TestThermalState:
         assert np.allclose(rho, expected, atol=1e-12)
 
     def test_degenerate_ground_space_is_mixed_uniformly(self):
-        ham = ring(4)
-        lam = np.linalg.eigvalsh(ham.entries)
+        lam = np.linalg.eigvalsh(xx_field_hamiltonian("ring_nn", 4, 0.0))
         degeneracy = int(np.sum(lam - lam[0] < 1e-10))
-        rho = thermal_rho(ham, 0.0)
+        rho = thermal_rho(ring(4), 0.0)
         nonzero = np.linalg.eigvalsh(rho)
         nonzero = nonzero[nonzero > 1e-12]
         assert len(nonzero) == degeneracy
@@ -122,10 +155,7 @@ class TestThermalState:
         # rounding splits these ground energies by ~1e-15; a Gibbs state
         # that resolves the split keeps one ground state and jumps away
         # from the T = 0 mixture (ring 0.9504 against 0.5469)
-        ham = build_spin_hamiltonian(
-            ModelSpec(kind="spin_half", topology=topology, n_sites=len(mask))
-        )
-        model = SpinModel(ham)
+        model = spin_model(topology, len(mask))
         part = from_mask(mask, topology)
         at_zero = cell(model, 0.0, part)[0]
         for t in (1e-320, 1e-300, 1e-16, 1e-12, 1e-3):
@@ -143,22 +173,22 @@ class TestThermalState:
 
     def test_negative_temperature_rejected(self):
         with pytest.raises(ValueError):
-            thermal_rho(ring(2), -1.0)
+            ring(2).thermal_rho(-1.0)
 
     def test_nan_temperature_rejected(self):
-        model = SpinModel(ring(4, h=0.3))
+        model = ring(4, h=0.3)
         with pytest.raises(ValueError, match="temperature must be nonnegative"):
             model.thermal_rho(math.nan)
         with pytest.raises(ValueError, match="temperature must be nonnegative"):
             cell(model, math.nan, even_odd(4))
 
     def test_infinite_temperature_is_maximally_mixed_and_ppt(self):
-        model = SpinModel(ring(4, h=0.3))
-        assert np.allclose(model.thermal_rho(math.inf), np.eye(16) / 16, atol=1e-15)
+        model = ring(4, h=0.3)
+        assert np.allclose(thermal_rho(model, math.inf), np.eye(16) / 16, atol=1e-15)
         assert cell(model, math.inf, even_odd(4))[:2] == (0.0, 0.0)
 
     def test_grid_builds_one_thermal_state_per_temperature(self, monkeypatch):
-        model = SpinModel(ring(6))
+        model = ring(6)
         temps = []
         build = SpinModel.thermal_rho
         monkeypatch.setattr(
@@ -217,43 +247,35 @@ class TestPartialTranspose:
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            cell(SpinModel(ring(3)), 0.5, from_mask("+-"))
+            cell(ring(3), 0.5, from_mask("+-"))
 
     @pytest.mark.parametrize("bad", [0.0, 2.0, math.nan], ids=["zero", "two", "nan"])
     def test_labels_other_than_plus_minus_one_rejected(self, bad):
         # a raw label must mean what a Partition label means, not "positive"
         with pytest.raises(ValueError, match="partition labels must be"):
-            cell(SpinModel(ring(4)), 0.5, [bad, -1, 1, -1])
+            cell(ring(4), 0.5, [bad, -1, 1, -1])
 
     def test_labels_are_checked_once_per_cell(self, monkeypatch):
         calls = []
         monkeypatch.setattr(
             "thermaneg.spin.label_signs", lambda p: calls.append(p) or label_signs(p)
         )
-        cell(SpinModel(ring(4)), 0.5, half_half(4))
+        cell(ring(4), 0.5, half_half(4))
         assert len(calls) == 1
 
 
 class TestNegativity:
     def test_bell_ground_state(self):
-        e_n, e_l, _ = cell(SpinModel(ring(2)), 0.0, half_half(2))
+        e_n, e_l, _ = cell(ring(2), 0.0, half_half(2))
         assert e_n == pytest.approx(0.5, abs=1e-10)
         assert e_l == pytest.approx(math.log2(1.5), abs=1e-10)
 
-    def test_separable_diagonal_state(self):
-        # the Gibbs state of this diagonal Hamiltonian at T = 1 is
-        # diag(0.4, 0.3, 0.2, 0.1)
-        energies = -np.log([0.4, 0.3, 0.2, 0.1])
-        model = SpinModel(SpinHamiltonian(n=2, entries=np.diag(energies)))
-        e_n, e_l, _ = cell(model, 1.0, half_half(2))
-        assert e_n == 0.0 and e_l == 0.0
-
     def test_log_form_consistency(self):
-        e_n, e_l, _ = cell(SpinModel(ring(4, h=0.5)), 0.6, even_odd(4))
+        e_n, e_l, _ = cell(ring(4, h=0.5), 0.6, even_odd(4))
         assert e_l == pytest.approx(math.log2(1.0 + e_n), abs=1e-12)
 
     def test_block_negation_symmetry(self):
-        model = SpinModel(star(4))
+        model = star(4)
         direct = cell(model, 1.0, central_vs_rest(4))
         flipped = cell(model, 1.0, from_mask("-+++", topology="star", pid="rest"))
         assert direct[0] == pytest.approx(flipped[0], abs=1e-12)
@@ -261,8 +283,7 @@ class TestNegativity:
     def test_strong_field_polarizes_and_disentangles(self):
         # deep in the polarized phase the thermal state is almost the
         # product of all-down spins and carries no negativity
-        model = SpinModel(ring(4, h=50.0))
-        e_n = cell(model, 0.5, even_odd(4))[0]
+        e_n = cell(ring(4, h=50.0), 0.5, even_odd(4))[0]
         assert e_n == pytest.approx(0.0, abs=1e-10)
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -277,16 +298,13 @@ class TestNegativity:
     def test_swapping_the_blocks_keeps_the_negativity(self, topology, mask, h, t):
         # the transposes of the two blocks are transposes of each other,
         # so each charge block q pairs with the block -q
-        n = len(mask)
-        spec = ModelSpec(kind="spin_half", topology=topology, n_sites=n, h=h)
-        model = SpinModel(build_spin_hamiltonian(spec))
+        model = spin_model(topology, len(mask), h)
         swapped = "".join("+" if ch == "-" else "-" for ch in mask)
         direct = cell(model, t, from_mask("".join(mask)))[0]
         assert cell(model, t, from_mask(swapped))[0] == pytest.approx(direct, abs=1e-12)
 
     def test_field_free_star_hub_value(self):
-        model = SpinModel(star(4))
-        e_n = cell(model, 0.5, central_vs_rest(4))[0]
+        e_n = cell(star(4), 0.5, central_vs_rest(4))[0]
         assert e_n == pytest.approx(0.26216533476808, abs=1e-11)
 
 
@@ -300,7 +318,7 @@ def eigensolve_sizes(monkeypatch):
 
 class TestChargeBlocks:
     def test_partial_transpose_is_solved_per_charge_block(self, monkeypatch):
-        model = SpinModel(star(6))
+        model = star(6)
         sizes = eigensolve_sizes(monkeypatch)
         cell(model, 0.5, central_vs_rest(6))
         # the charge blocks of the hub transpose hold C(6, k) states
@@ -308,30 +326,38 @@ class TestChargeBlocks:
 
     @pytest.mark.parametrize("topology", ["ring_nn", "star"])
     def test_partial_transpose_has_no_entry_outside_the_charge_blocks(self, topology):
-        # the spectrum is taken block by block with no check, so every
-        # state the model builds must leave exact zeros between blocks
-        n = 6
-        for h in (0.0, 0.7):
-            spec = ModelSpec(kind="spin_half", topology=topology, n_sites=n, h=h)
-            model = SpinModel(build_spin_hamiltonian(spec))
-            for t in (0.0, 0.5, 2.0):
-                for p in every_family(n, topology):
-                    inside = [n - 1 - i for i, sign in enumerate(p.labels) if sign > 0]
-                    charge = np.array([
-                        bin(b).count("1") - 2 * sum((b >> k) & 1 for k in inside)
-                        for b in range(2**n)
-                    ])
-                    pt = partial_transpose(model.thermal_rho(t), p)
-                    assert not pt[charge[:, None] != charge[None, :]].any(), (h, t, p.id)
+        # the spectrum is taken block by block with no check, so the
+        # charge blocks must read every entry of the state's sector
+        # blocks, each once: then every other entry of the partial
+        # transpose, a permutation of the dense state, is a zero
+        for n in range(1, 9):
+            model = spin_model(topology, n, 0.7)
+            size = len(model.thermal_rho(0.5))
+            parts = every_family(n, topology) if n >= 2 else [[1]]
+            for p in parts:
+                labels = label_signs(p)
+                read = np.concatenate([idx.ravel() for idx in model._charge_blocks(labels)])
+                assert np.array_equal(np.sort(read), np.arange(size)), (n, labels)
+
+    def test_eleven_site_ring_forms_no_full_matrix(self):
+        # one 2^11 x 2^11 float array alone would take 4^11 * 8 bytes
+        spec = ModelSpec(kind="spin_half", topology="ring_nn", n_sites=11, h=0.7)
+        tracemalloc.start()
+        try:
+            engine = analysis.make_engine(spec, max_spin_sites=11)
+            engine.negativity_grid([1.0], [from_mask("+++++------")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4**11 * 8
 
     @pytest.mark.parametrize("n", range(2, 11))
     @pytest.mark.parametrize("topology", ["ring_nn", "star"])
     def test_block_route_matches_the_dense_oracle(self, topology, n):
+        temps = (0.0, 0.5, 2.0)
         for h in (0.0, 0.7):
-            spec = ModelSpec(kind="spin_half", topology=topology, n_sites=n, h=h)
-            model = SpinModel(build_spin_hamiltonian(spec))
-            for t in (0.0, 0.5, 2.0):
-                rho = model.thermal_rho(t)
+            model = spin_model(topology, n, h)
+            for t, rho in zip(temps, xx_field_gibbs_states(topology, n, h, temps)):
                 for p in every_family(n, topology):
                     e_n = cell(model, t, p)[0]
                     oracle = dense_oracle(rho, p)
@@ -350,28 +376,31 @@ def random_star_labels(rng, n):
 
 
 class TestSpinStarModel:
-    """The collective-spin star route against the dense engine."""
+    """The collective-spin star route against the sector engine and the
+    dense oracle."""
 
     @pytest.mark.parametrize("n", range(2, 11))
     def test_random_partitions_match_the_dense_engine(self, n):
         rng = np.random.default_rng(n)
+        temps = (0.0, 0.3, 1.0, 3.0)
         for h in (0.0, 0.7, -1.3):
-            dense = SpinModel(star(n, h=h))
+            engine = star(n, h=h)
             route = SpinStarModel(n, h)
+            oracle = xx_field_gibbs_states("star", n, h, temps)
             for _ in range(4):
                 labels = random_star_labels(rng, n)
-                for t in (0.0, 0.3, 1.0, 3.0):
+                for t, rho in zip(temps, oracle):
                     e_n, e_l, margin = cell(route, t, labels)
                     # E_N by its definition, every negative eigenvalue of the
                     # dense state's partial transpose: the engines' cutoffs
-                    # differ, absolute in the dense one, per block in the route
-                    spectrum = _pt_spectrum(dense.thermal_rho(t), labels)
+                    # differ, absolute in the sector one, per block in the route
+                    spectrum = charge_block_spectrum(rho, labels)
                     ref_n = float(-spectrum[spectrum < 0.0].sum())
                     ref_margin = ref_n if ref_n > 0.0 else -float(spectrum.min())
                     assert abs(e_n - ref_n) <= 1e-12
                     assert abs(e_l - math.log2(1.0 + ref_n)) <= 1e-12
                     assert abs(margin - ref_margin) <= 1e-12
-                    verdict = cell(dense, t, labels)[0] > EPS_PPT
+                    verdict = cell(engine, t, labels)[0] > EPS_PPT
                     assert (e_n > EPS_PPT) == verdict, (h, labels, t)
 
     @pytest.mark.parametrize("n", range(2, 8))
@@ -393,7 +422,7 @@ class TestSpinStarModel:
         ],
     )
     def test_refusals_match_the_dense_engine(self, labels, temperature):
-        for engine in (SpinModel(star(4)), SpinStarModel(4)):
+        for engine in (star(4), SpinStarModel(4)):
             with pytest.raises(ValueError):
                 cell(engine, temperature, labels)
 
@@ -406,10 +435,9 @@ class TestSpinStarModel:
 
     def test_forty_site_star_without_the_dense_engine(self, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("the dense spin engine ran")
+            raise AssertionError("the sector spin engine ran")
 
         monkeypatch.setattr(analysis, "SpinModel", refuse)
-        monkeypatch.setattr(analysis, "build_spin_hamiltonian", refuse)
         spec = ModelSpec(kind="spin_half", topology="star", n_sites=40)
         engine = analysis.make_engine(spec, max_spin_sites=40)
         # the hub-vs-rest closed value 1/2 at T = 0 for every even n
