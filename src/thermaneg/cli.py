@@ -325,12 +325,13 @@ class Experiment:
             )
         # log2 of the bytes of the engine's largest array: V (n x n), at
         # most 4^n entries for a spin ring (its sector blocks hold
-        # C(2n, n)), or a spin star's top block (at least 2n x 2n for any
-        # partition); checked before any O(n) partition list is built
+        # C(2n, n)), or a spin star's Gibbs state at one temperature (its
+        # sector blocks hold at least n^2 entries for any partition);
+        # checked before any O(n) partition list is built
         if spec.kind == "spin_half" and spec.topology == "ring_nn":
             log2_bytes = 3 + 2 * n
         else:
-            log2_bytes = 3 + 2 * math.log2(2 * n if spec.kind == "spin_half" else n)
+            log2_bytes = 3 + 2 * math.log2(n)
         memory = _memory_bytes()
         if log2_bytes > math.log2(memory):
             raise ConfigError(

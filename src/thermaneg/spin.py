@@ -11,8 +11,11 @@ formed.
 
 The XX star with field takes a second route, ``SpinStarModel``, with
 smaller blocks still: its outer sites couple to the hub only through
-their total spin, so the state splits into collective-spin blocks (see
-the class docstring).
+their total spin, so the state splits into collective-spin blocks, and
+those into the same two kinds of block, magnetisation sectors and
+charge groups of the partial transpose, of at most 2 (2J + 1) states
+for the smaller of the two collective spins, so no collective block
+is formed (see the class docstring).
 
 E_N sums the absolute values of the negative eigenvalues of the
 partially transposed state and E_l = log2(1 + E_N).  See the module
@@ -38,9 +41,9 @@ __all__ = [
 # as negative in ``SpinModel``.  It sits above the rounding noise of a
 # symmetric eigensolve of a unit-trace matrix, of order dim * eps: 2e-13
 # for the largest charge block at 12 sites (924 states).  ``SpinStarModel``
-# scales it by each block's largest |eigenvalue|, the rounding scale of
-# that block's eigensolve, since a block repeated d times carries d times
-# the weight of one copy; past 1e-12 / eps (about 4,500 states) a block's
+# scales it by the largest |eigenvalue| over each collective block's
+# charge groups, since a block repeated d times carries d times the
+# weight of one copy; past 1e-12 / eps (about 4,500 states) a block's
 # cutoff follows dim * eps.
 NEGATIVE_EIGENVALUE_CUTOFF = -1e-12
 # Eigenstates within this of the minimum energy belong to the ground
@@ -54,9 +57,19 @@ def _sym(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.swapaxes(-1, -2))
 
 
+def _runs(keys: np.ndarray) -> tuple:
+    """(order, lengths): the indices that sort ``keys`` stably, and the
+    length of each run of equal keys in that order, ascending by key.
+    A stable sort, since the first call of numpy's unique imports numpy.ma."""
+    order = np.argsort(keys, kind="stable")
+    starts = np.flatnonzero(np.diff(keys[order])) + 1
+    return order, np.diff(starts, prepend=0, append=len(keys))
+
+
 def _groups(keys: np.ndarray) -> list:
     """Basis indices grouped by key, in ascending key then index order."""
-    return [np.flatnonzero(keys == k) for k in np.unique(keys)]
+    order, lengths = _runs(keys)
+    return np.split(order, np.cumsum(lengths)[:-1])
 
 
 def _excitations(energies: np.ndarray, ground: float) -> np.ndarray:
@@ -194,18 +207,26 @@ class SpinStarModel:
     a outer sites labeled opposite to the hub, group T (a is the star
     partition's area), and keep the hub with the other m - a sites,
     group R.  With J = J_T + J_R, H and the Gibbs state split into
-    blocks on hub (x) V_{J_T} (x) V_{J_R}, of 2(2J_T + 1)(2J_R + 1)
-    states, each repeated d_{J_T}(a) d_{J_R}(m - a) times.  The Schur
-    basis of either group is a real orthogonal change of its
-    computational basis, so the partial transpose on T is the transpose
-    of each block's V_{J_T} factor, and E_N adds up each block's
-    negative spectrum times its multiplicity.  Multiplicities and the
-    partition function are carried as logs, so no size overflows them.
+    blocks on hub (x) V_{J_T} (x) V_{J_R}, each repeated
+    d_{J_T}(a) d_{J_R}(m - a) times.  The Schur basis of either group
+    is a real orthogonal change of its computational basis, so the
+    partial transpose on T is the transpose of each block's V_{J_T}
+    factor, and E_N adds up each block's negative spectrum times its
+    multiplicity.  Multiplicities and the partition function are
+    carried as logs, so no size overflows them.
 
-    One grouping's block eigenpairs are found on first use and cached
-    per a; its ground energy and the ground-space clamp are taken
-    across all its blocks, as ``SpinModel`` takes them across its
-    sectors.
+    No block is formed either.  A block state is (s, i_T, i_R): s = 1
+    for a down hub and i the lowering count from the top of V_J.  H
+    conserves N = s + i_T + i_R, so each block is split into sectors of
+    fixed N, and the partial transpose conserves the charge
+    q = s - i_T + i_R (Cornfeld, Goldstein & Sela, PRA 98, 032302
+    (2018)), so it splits into groups of fixed q; both have at most
+    2 min(2J_T + 1, 2J_R + 1) states: 2 on the hub-vs-rest cell, at most
+    4 on one outer site.  As in ``SpinModel``, the Gibbs state is its
+    sector blocks raveled end to end, and each group is gathered from
+    them.  One grouping's sector eigenpairs are found on first use and
+    cached per a, every sector size in one stacked ``eigh``; its ground
+    energy and the ground-space clamp are taken across all its sectors.
     """
 
     def __init__(self, n: int, h: float = 0.0):
@@ -213,38 +234,26 @@ class SpinStarModel:
             raise ValueError(f"spin star needs at least 1 site, got {n}")
         self.n = n
         self.h = h
-        self._groupings = {}
+        self._plans = {}
 
-    def _grouping(self, a: int) -> list:
-        """(log multiplicity, block shape, excitations, eigenvectors) of
-        every block when a outer sites are transposed."""
-        if a not in self._groupings:
-            blocks = [
-                (math.log(d_t * d_r), (2, two_t + 1, two_r + 1),
-                 *np.linalg.eigh(_star_block(two_t, two_r, self.h)))
-                for two_t, d_t in _multiplicities(a)
-                for two_r, d_r in _multiplicities(self.n - 1 - a)
-            ]
-            ground = min(evals[0] for _, _, evals, _ in blocks)
-            self._groupings[a] = [
-                (log_d, shape, _excitations(evals, ground), evecs)
-                for log_d, shape, evals, evecs in blocks
-            ]
-        return self._groupings[a]
+    def _plan(self, a: int) -> tuple:
+        """``_star_plan`` when a outer sites are transposed, cached."""
+        if a not in self._plans:
+            self._plans[a] = _star_plan(a, self.n - 1 - a, self.h)
+        return self._plans[a]
 
     def _cells(self, temperatures, partition) -> np.ndarray:
         """(E_N, lowest eigenvalue of the partial transpose) per
-        temperature, shape (temperatures, 2).  Each block's states are
-        stacked over the temperatures and solved by one eigvalsh."""
+        temperature, shape (temperatures, 2), over runs of temperatures
+        that each hold the Gibbs state once per temperature."""
         labels = label_signs(partition)
         if len(labels) != self.n:
             raise ValueError(
                 f"partition of {len(labels)} sites does not match the {self.n}-site star"
             )
-        blocks = self._grouping(int(np.count_nonzero(labels[1:] != labels[0])))
-        largest = max(len(evecs) for *_, evecs in blocks) ** 2
+        plan = self._plan(int(np.count_nonzero(labels[1:] != labels[0])))
         temps = temperature_array(temperatures)
-        return stacked(lambda run: _star_cells(blocks, run), temps, largest)
+        return stacked(lambda run: _star_cells(plan, run), temps, plan[-1])
 
     def negativity_grid(self, temperatures, partitions) -> np.ndarray:
         """(E_N, E_l, margin) of every cell, shape (temperatures,
@@ -263,33 +272,6 @@ def _cell(e_n: float, lowest: float) -> tuple:
     return (e_n, math.log2(1.0 + e_n), e_n if e_n > 0.0 else -lowest)
 
 
-def _star_cells(blocks: list, temperatures: np.ndarray) -> np.ndarray:
-    """``SpinStarModel._cells`` over one run of temperatures."""
-    weights = [_boltzmann(exc, temperatures) for _, _, exc, _ in blocks]
-    log_d = np.array([[block[0]] for block in blocks])
-    # log Z by a log-sum-exp over the blocks; a block without weight adds 0
-    with np.errstate(divide="ignore"):
-        logs = log_d + np.log([w.sum(axis=1) for w in weights])
-    top = logs.max(axis=0)
-    # Sums over the blocks run block after block, as they would for a
-    # single temperature: a sum over axis 0 is pairwise when it is
-    # contiguous, so one temperature and many would round differently.
-    log_z = top + np.log(np.cumsum(np.exp(logs - top), axis=0)[-1])
-    negative, lowest = [], []
-    for (_, shape, _, evecs), w in zip(blocks, weights):
-        rho = _sym((evecs * w[:, None, :]) @ evecs.T)
-        pt = rho.reshape((-1, *shape, *shape)).transpose(0, 1, 5, 3, 4, 2, 6).reshape(rho.shape)
-        # The state's eigenvalues are these over Z, each d times over
-        spectrum = np.linalg.eigvalsh(pt)
-        cutoff = min(NEGATIVE_EIGENVALUE_CUTOFF, -spectrum.shape[1] * _EPS)
-        largest = np.maximum(-spectrum[:, 0], spectrum[:, -1])
-        below = spectrum < cutoff * largest[:, None]
-        negative.append(np.where(below, spectrum, 0.0).sum(axis=1))
-        lowest.append(spectrum[:, 0])
-    e_n = 0.0 - np.cumsum(np.exp(log_d - log_z) * negative, axis=0)[-1]
-    return np.stack([e_n, np.min(lowest, axis=0) * np.exp(-log_z)], axis=1)
-
-
 def _multiplicities(k: int) -> list:
     """(2J, d_J) for every total spin J of k spin-1/2 sites, as exact
     ints: d_J = C(k, k/2 - J) - C(k, k/2 - J - 1) copies of spin J, so
@@ -298,26 +280,120 @@ def _multiplicities(k: int) -> list:
             for p in range(k // 2 + 1)]
 
 
-def _collective(two_j: int) -> tuple:
-    """J+ and 2 Jz of spin J = two_j / 2 in the basis M = J, J - 1, ..., -J."""
-    i = np.arange(1, two_j + 1)
-    raising = np.diag(np.sqrt(i * (two_j + 1.0 - i)), 1)
-    return raising, np.diag(two_j - 2.0 * np.arange(two_j + 1))
+def _star_plan(a: int, rest: int, h: float) -> tuple:
+    """Everything about the star's grouping with a transposed and
+    ``rest`` kept outer sites that does not depend on temperature.
+
+    The blocks' states run end to end, block after block, each block's
+    (s, i_T, i_R) in that index order.  Returns (sectors, sector log
+    multiplicities, groups, group log multiplicities, group cutoffs,
+    group blocks, block order, block starts, entries):
+
+    * sectors: (excitations, eigenvectors) of each sector size, of
+      shapes (count, size) and (count, size, size); the state's sector
+      blocks run in this order, and ``entries`` is their total size;
+    * groups: for each group size, the (count, size, size) indices
+      into the state of its groups' entries.  Entry (x, y) of a group
+      is entry (x', y') of the state, x' taking its hub and R from x
+      and its T from y, y' the other way round; for x and y of one
+      charge, x' and y' share a sector;
+    * per group, in the groups' order: its block's log multiplicity,
+      its block's cutoff on the scale of the block's largest
+      |eigenvalue|, and its block; the block order and block starts
+      give the groups block by block.
+    """
+    blocks = [(two_t, two_r, math.log(d_t * d_r))
+              for two_t, d_t in _multiplicities(a) for two_r, d_r in _multiplicities(rest)]
+    two_t, two_r, log_d = (np.array(column) for column in zip(*blocks))
+    size_r, size_rt = two_r + 1, (two_t + 1) * (two_r + 1)
+    dims = 2 * size_rt
+    block = np.repeat(np.arange(len(dims)), dims)
+    local = np.arange(dims.sum()) - np.repeat(np.cumsum(dims) - dims, dims)
+    hub = local // size_rt[block]
+    low_t, low_r = local // size_r[block] % (two_t + 1)[block], local % size_r[block]
+    span = int((two_t + two_r).max()) + 2
+
+    # sectors of one N, block after block, then reordered by size; entry
+    # (u, v) of a sector is entry row[u] + column[v] of the state
+    order, lengths = _runs(block * span + hub + low_t + low_r)
+    sector = np.repeat(np.arange(len(lengths)), lengths)
+    column = np.empty_like(order)
+    column[order] = np.arange(len(order)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    by_size = _groups(lengths)
+    ranked = np.concatenate(by_size)
+    offsets = np.empty_like(lengths)
+    offsets[ranked] = np.cumsum(lengths[ranked] ** 2) - lengths[ranked] ** 2
+    row = np.empty_like(order)
+    row[order] = offsets[sector] + lengths[sector] * column[order]
+    sector_log_d = log_d[block[order[np.cumsum(lengths) - lengths]]][ranked]
+
+    # the field puts h(2J_T + 2J_R + 1 - 2N) on the diagonal, and the
+    # exchange -2 sqrt((i + 1)(2J - i)) between a down hub and the up
+    # hub with one lowering more in T or in R
+    ham = np.zeros(int(offsets[ranked[-1]] + lengths[ranked[-1]] ** 2))
+    ham[row + column] += h * (two_t[block] + two_r[block] + 1 - 2 * (hub + low_t + low_r))
+    for low, two, step in ((low_t, two_t, size_r), (low_r, two_r, np.ones_like(two_r))):
+        down = np.flatnonzero((hub == 1) & (low < two[block]))
+        up = down - (size_rt - step)[block[down]]
+        ham[row[down] + column[up]] = ham[row[up] + column[down]] = -2.0 * np.sqrt(
+            (low[down] + 1.0) * (two[block[down]] - low[down]))
+    pairs, start = [], 0
+    for members in by_size:
+        size = int(lengths[members[0]])
+        stop = start + len(members) * size**2
+        pairs.append(np.linalg.eigh(ham[start:stop].reshape(-1, size, size)))
+        start = stop
+    ground = min(evals.min() for evals, _ in pairs)
+    sectors = [(_excitations(evals, ground), evecs) for evals, evecs in pairs]
+
+    inside = low_t * size_r[block]
+    outside = np.arange(len(block)) - inside
+    order, lengths = _runs(block * span + hub + two_t[block] - low_t + low_r)
+    starts = np.cumsum(lengths) - lengths
+    groups, group_block = [], []
+    for members in _groups(lengths):
+        x = order[starts[members][:, None] + np.arange(lengths[members[0]])]
+        groups.append(row[outside[x][:, :, None] + inside[x][:, None, :]]
+                      + column[outside[x][:, None, :] + inside[x][:, :, None]])
+        group_block.append(block[x[:, 0]])
+    group_block = np.concatenate(group_block)
+    by_block, counts = _runs(group_block)
+    cutoff = np.minimum(NEGATIVE_EIGENVALUE_CUTOFF, -dims * _EPS)
+    return (sectors, sector_log_d, groups,
+            log_d[group_block], cutoff[group_block], group_block, by_block,
+            np.cumsum(counts) - counts, len(ham))
 
 
-def _star_block(two_t: int, two_r: int, h: float) -> np.ndarray:
-    """The star Hamiltonian on hub (x) V_{J_T} (x) V_{J_R}, the hub's up
-    spin first as in the computational basis."""
-    raise_t, z_t = _collective(two_t)
-    raise_r, z_r = _collective(two_r)
-    eye_t, eye_r = np.eye(two_t + 1), np.eye(two_r + 1)
-    raising = np.kron(raise_t, eye_r) + np.kron(eye_t, raise_r)
-    z = np.kron(z_t, eye_r) + np.kron(eye_t, z_r)
-    hub_raise, hub_z = _collective(1)
-    exchange = np.kron(hub_raise, raising.T)
-    return -2.0 * (exchange + exchange.T) + h * (
-        np.kron(hub_z, np.eye(len(z))) + np.kron(np.eye(2), z)
-    )
+def _star_cells(plan: tuple, temperatures: np.ndarray) -> np.ndarray:
+    """``SpinStarModel._cells`` over one run of temperatures.
+
+    Every reduction over sectors or groups runs along the last axis,
+    one temperature per row, so that a run of one temperature and a
+    run of many round alike.
+    """
+    sectors, sector_log_d, groups, group_log_d, cutoff, group_block, by_block, starts, _ = plan
+    weights = [_boltzmann(exc.ravel(), temperatures).reshape(-1, *exc.shape)
+               for exc, _ in sectors]
+    # log Z by a log-sum-exp over the sectors; a sector without weight adds 0
+    with np.errstate(divide="ignore"):
+        logs = sector_log_d + np.log(np.concatenate([w.sum(axis=2) for w in weights], axis=1))
+    top = logs.max(axis=1, keepdims=True)
+    log_z = top + np.log(np.exp(logs - top).sum(axis=1, keepdims=True))
+    rho = np.concatenate(
+        [_sym((evecs * w[:, :, None, :]) @ evecs.swapaxes(1, 2)).reshape(len(w), evecs.size)
+         for (_, evecs), w in zip(sectors, weights)], axis=1)
+    # The state's eigenvalues are these over Z, each d times over
+    spectra = [np.linalg.eigvalsh(rho[:, idx]) for idx in groups]
+    largest = np.concatenate([np.maximum(-s[..., 0], s[..., -1]) for s in spectra], axis=1)
+    scale = np.maximum.reduceat(largest[:, by_block], starts, axis=1)[:, group_block]
+    below = np.split(cutoff * scale, np.cumsum([len(idx) for idx in groups])[:-1], axis=1)
+    negative = np.concatenate([np.where(s < b[..., None], s, 0.0).sum(axis=2)
+                               for s, b in zip(spectra, below)], axis=1)
+    # a block's weight d / Z can overflow where its negativity is 0
+    with np.errstate(divide="ignore"):
+        e_n = np.exp(group_log_d - log_z + np.log(-negative)).sum(axis=1)
+    lowest = np.min([s[..., 0].min(axis=1) for s in spectra], axis=0)
+    return np.stack([e_n, lowest * np.exp(-log_z[:, 0])], axis=1)
 
 
 def _e_n(spectrum: np.ndarray) -> float:

@@ -241,9 +241,10 @@ class TestNegativityGrid:
     @pytest.mark.parametrize(
         "spec, parts, entries",
         [
-            # blocks of 16 states (central) and 28 (external) at 8 sites
+            # per temperature a Gibbs state of 72 sector-block entries
+            # (central) and 210 (external) at 8 sites
             (ModelSpec(kind="spin_half", topology="star", n_sites=8, h=0.4),
-             [central_vs_rest(8), single_external_vs_rest(8, 2)], 600),
+             [central_vs_rest(8), single_external_vs_rest(8, 2)], 144),
             # per temperature a dense solve of 144 entries, mirror halves
             # of 36 and Bloch blocks of 48 (complex, so 2 * 48 floats)
             (ModelSpec(kind="harmonic", topology="ring_nn", n_sites=12, c=0.4),

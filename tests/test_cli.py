@@ -1,5 +1,8 @@
 import math
+import subprocess
+import sys
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -781,3 +784,25 @@ def test_cli_never_raises_on_fuzzed_input(command, base, changes, as_ini):
         # cell to report, so every other command exits 0, 1 or 2
         partial = (EXIT_PARTIAL,) if command == "threshold" else ()
         assert main(argv) in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL, *partial)
+
+
+def test_spin_commands_leave_numpy_ma_unimported(tmp_path):
+    # the first np.unique of a process imports numpy.ma, about 15 ms
+    # that a spin threshold or sweep has no use for
+    spin = ["--kind", "spin_half", "--h", "0.3", "--out", str(tmp_path / "out.csv")]
+    calls = [
+        ["threshold", "--topology", "ring_nn", "--n", "6", *spin, "--families", "even-odd"],
+        ["sweep", "--topology", "star", "--n", "8", *spin, "--t-list", "0.5,1",
+         "--families", "central,external"],
+    ]
+    code = (
+        "import sys\n"
+        "from thermaneg import cli\n"
+        f"for argv in {calls!r}:\n"
+        "    assert cli.main(argv) == 0\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={"PYTHONPATH": str(src)}, check=True)
+    assert done.stdout.split() == ["False"]

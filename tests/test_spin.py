@@ -28,6 +28,7 @@ from thermaneg.spin import (
 )
 from oracles import (
     partial_transpose,
+    spin_star_block_cells,
     spin_star_hub_negativity,
     xx_field_gibbs_states,
     xx_field_hamiltonian,
@@ -462,3 +463,61 @@ class TestSpinStarModel:
         assert externals[0] == externals[1]
         # the complement of external-2 transposes the same outer site
         assert cell(route, 1.0, from_mask("+-++++")) == externals[0]
+
+
+def star_cases(n, rng):
+    """Central and external-2 from 40 sites on; half-half and two
+    random partitions below."""
+    if n >= 40:
+        return [central_vs_rest(n), single_external_vs_rest(n, 2)]
+    return [half_half(n)] + [random_star_labels(rng, n) for _ in range(2)]
+
+
+def eigensolve_sides(monkeypatch):
+    """Record the side of every eigh and eigvalsh input from here on."""
+    sides = []
+    for name in ("eigh", "eigvalsh"):
+        solve = getattr(np.linalg, name)
+        monkeypatch.setattr(
+            np.linalg, name, lambda m, solve=solve: sides.append(m.shape[-1]) or solve(m)
+        )
+    return sides
+
+
+class TestStarSectors:
+    """The star's sector and charge-group engine against the whole-block
+    oracle, at sizes the dense route cannot reach."""
+
+    @pytest.mark.parametrize("n", [16, 24, 40, 100])
+    def test_grouped_engine_matches_the_block_oracle(self, n):
+        rng = np.random.default_rng(n)
+        temps = [0.0, 0.05, 1.0, 6.0, math.inf]
+        for h in (0.0, 0.7, -1.3):
+            route = SpinStarModel(n, h)
+            for p in star_cases(n, rng):
+                grid = route.negativity_grid(temps, [p])[:, 0]
+                oracle = spin_star_block_cells(n, h, label_signs(p), temps)
+                assert np.all(np.abs(grid - oracle) <= 1e-12 * np.maximum(1.0, np.abs(oracle)))
+                assert np.array_equal(grid[:, 0] < EPS_PPT, oracle[:, 0] < EPS_PPT), (h, p)
+
+    @pytest.mark.parametrize(
+        "partition, side",
+        [(central_vs_rest(100), 2), (single_external_vs_rest(100, 2), 4)],
+        ids=["central", "external"],
+    )
+    def test_no_eigensolve_is_larger_than_a_group(self, monkeypatch, partition, side):
+        route = SpinStarModel(100, 0.7)
+        sides = eigensolve_sides(monkeypatch)
+        cell(route, 1.0, partition)
+        assert sides and max(sides) == side
+
+    @pytest.mark.parametrize(
+        "n, value", [(100, 0.0128363370294439), (200, 0.00649020669037518)]
+    )
+    def test_hub_at_unit_temperature(self, n, value):
+        e_n = cell(SpinStarModel(n), 1.0, central_vs_rest(n))[0]
+        assert abs(e_n - value) <= 1e-12
+        assert abs(spin_star_hub_negativity(n, 1.0) - value) <= 1e-9
+
+    def test_thousand_site_hub_at_zero_temperature(self):
+        assert abs(cell(SpinStarModel(1000), 0.0, central_vs_rest(1000))[0] - 0.5) <= 1e-12
