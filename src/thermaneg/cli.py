@@ -325,9 +325,11 @@ class Experiment:
             )
         # log2 of the bytes of the engine's largest array: V (n x n), at
         # most 4^n entries for a spin ring (its sector blocks hold
-        # C(2n, n)), or a spin star's Gibbs state at one temperature (its
-        # sector blocks hold at least n^2 entries for any partition);
-        # checked before any O(n) partition list is built
+        # C(2n, n), and the charge-block plan it keeps for one partition
+        # as many indices: 2 C(2n, n) < 4^n), or a spin star's Gibbs
+        # state at one temperature (its sector blocks hold at least n^2
+        # entries for any partition); checked before any O(n) partition
+        # list is built
         if spec.kind == "spin_half" and spec.topology == "ring_nn":
             log2_bytes = 3 + 2 * n
         else:
@@ -579,13 +581,18 @@ def _merge(args, values: dict) -> Experiment:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = _Parser(prog="thermaneg", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
+    # Only the command named, the first non-option token, gets the
+    # config flags: one call parses one command's flags, not five's.
+    command = next((token for token in argv if not token.startswith("-")), None)
     for name, (_, helptext) in COMMANDS.items():
         sub = subs.add_parser(name, help=helptext)
-        sub.add_argument("--config", help="INI config file")
-        for key in CONFIG_KEYS:
-            sub.add_argument(_flag(key))
+        if name == command:
+            sub.add_argument("--config", help="INI config file")
+            for key in CONFIG_KEYS:
+                sub.add_argument(_flag(key))
     rep = subs.add_parser("reproduce", help="run a stored figure preset")
     rep.add_argument("figure", help=f"one of: {', '.join(sorted(PRESETS))}")
     rep.add_argument(_flag("out"), help="output CSV path (default <figure>.csv)")

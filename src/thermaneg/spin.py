@@ -7,7 +7,9 @@ applies throughout.  The Hamiltonians conserve the magnetisation, so
 ``SpinModel`` builds, diagonalizes and keeps its states sector by
 sector, and gathers each charge-imbalance block of the partial
 transpose straight from those sector blocks: no 2^n x 2^n matrix is
-formed.
+formed.  Sectors and charge blocks of one size are solved as one
+stack, and a partition's gather indices are built once, so that the
+probes of a threshold search share them.
 
 The XX star with field takes a second route, ``SpinStarModel``, with
 smaller blocks still: its outer sites couple to the hub only through
@@ -115,8 +117,12 @@ def _sector_hamiltonians(spec: ModelSpec) -> list:
 
 class SpinModel:
     """The spin-1/2 XX model with field, diagonalized once, sector by
-    sector; Gibbs states at any temperature are then two matrix products
-    per sector away.  No 2^n x 2^n matrix is formed.
+    sector, every sector size (k and n - k set bits) in one stacked
+    ``eigh``; the Gibbs states at a run of temperatures are then two
+    stacked matrix products per sector size away.  Each partition's
+    charge blocks are gathered from those states by a plan built once
+    and kept for the last partition only, since one plan holds C(2n, n)
+    indices.  No 2^n x 2^n matrix is formed.
     """
 
     def __init__(self, spec: ModelSpec):
@@ -124,33 +130,47 @@ class SpinModel:
             raise ValueError(f"expected a spin model, got kind={spec.kind!r}")
         self.n = spec.n_sites
         sectors = _sector_hamiltonians(spec)
-        pairs = [np.linalg.eigh(block) for _, block in sectors]
-        energies = np.concatenate([evals for evals, _ in pairs])
+        lengths = np.array([len(states) for states, _ in sectors])
+        starts = np.cumsum(lengths) - lengths
+        by_size = _groups(lengths)
+        pairs = [np.linalg.eigh(np.stack([sectors[k][1] for k in ks])) for ks in by_size]
+        # the eigenvalues in k order, so that Z sums them as one list
+        # does; _places[s] places size s's in that list
+        self._places = [starts[ks][:, None] + np.arange(lengths[ks[0]]) for ks in by_size]
+        energies = np.empty(2**self.n)
+        for at, (evals, _) in zip(self._places, pairs):
+            energies[at] = evals
         self._excitations = _excitations(energies, energies.min())
         self._evecs = [evecs for _, evecs in pairs]
         # entry (s, t) of a sector block is entry _row[s] + _column[t] of a state
         self._row, self._column = np.empty((2, 2**self.n), dtype=np.intp)
-        start = 0
-        for states, _ in sectors:
-            self._row[states] = start + len(states) * np.arange(len(states))
+        self._entries = 0
+        for states, _ in (sectors[k] for ks in by_size for k in ks):
+            self._row[states] = self._entries + len(states) * np.arange(len(states))
             self._column[states] = np.arange(len(states))
-            start += len(states) ** 2
+            self._entries += len(states) ** 2
+        self._plan = (None, None)
 
-    def thermal_rho(self, temperature: float) -> np.ndarray:
-        """Gibbs state exp(-H/T), normalized, as its sector blocks in
-        ``_sector_hamiltonians`` order, raveled end to end.  T = 0 gives
-        the uniform mixture over the ground eigenspace (the
+    def thermal_rho(self, temperatures: tuple) -> np.ndarray:
+        """Gibbs states exp(-H/T), normalized, one row per temperature
+        of a tuple of floats (not an array, so that the temperatures of
+        two calls compare with ==): each its sector blocks raveled end
+        to end, size after size and k ascending within a size.  T = 0
+        gives the uniform mixture over the ground eigenspace (the
         zero-temperature limit).
         """
-        w = _boltzmann(self._excitations, temperature_array([temperature]))[0]
-        w /= w.sum()
-        ends = np.cumsum([len(evecs) for evecs in self._evecs])[:-1]
-        return np.concatenate([_sym((evecs * w_sector) @ evecs.T).ravel()
-                               for evecs, w_sector in zip(self._evecs, np.split(w, ends))])
+        temps = temperature_array(temperatures)
+        w = _boltzmann(self._excitations, temps)
+        w /= w.sum(axis=1, keepdims=True)
+        return np.concatenate(
+            [_sym((evecs * w[:, at][:, :, None, :]) @ evecs.swapaxes(1, 2)).reshape(len(temps), evecs.size)
+             for at, evecs in zip(self._places, self._evecs)], axis=1)
 
-    def _charge_blocks(self, labels):
-        """Indices into a ``thermal_rho`` state of each block of its
-        partial transpose, for labels already checked to be +1 or -1.
+    def _charge_blocks(self, labels) -> tuple:
+        """The plan of the partial transpose on the +1 sites of checked
+        labels: the indices into a ``thermal_rho`` state of its blocks,
+        one (count, size, size) stack per block size, and the order that
+        takes their spectra, stack after stack, to ascending charge.
 
         The blocks are those of one charge imbalance q = N_B - N_A, the
         set bits outside the transposed sites A minus those inside
@@ -158,15 +178,41 @@ class SpinModel:
         (x, y) of the partial transpose is entry (x', y') of the state,
         x' = (x & ~A) | (y & A) and y' = (y & ~A) | (x & A); for x and y
         of one charge, x' and y' share a sector, so the blocks read each
-        entry of the sector blocks once.
+        entry of the sector blocks once.  Only the last labels' plan is
+        kept.
         """
-        transposed = site_mask(self.n, np.flatnonzero(np.asarray(labels) > 0))
-        states = np.arange(2**self.n)
-        charge = popcount(states) - 2 * popcount(states & transposed)
-        for idx in _groups(charge):
-            inside, outside = idx & transposed, idx & ~transposed
-            yield (self._row[outside[:, None] | inside[None, :]]
-                   + self._column[inside[:, None] | outside[None, :]])
+        key = labels.tobytes()
+        if self._plan[0] != key:
+            self._plan = None, None  # free the old plan before the new one is built
+            transposed = site_mask(self.n, np.flatnonzero(labels > 0))
+            states = np.arange(2**self.n)
+            order, lengths = _runs(popcount(states) - 2 * popcount(states & transposed))
+            starts = np.cumsum(lengths) - lengths
+            inside, outside = order & transposed, order & ~transposed
+            blocks, at = [], []
+            for members in _groups(lengths):
+                x = starts[members][:, None] + np.arange(lengths[members[0]])
+                blocks.append(self._row[outside[x][:, :, None] | inside[x][:, None, :]]
+                              + self._column[inside[x][:, :, None] | outside[x][:, None, :]])
+                at.append(x.ravel())
+            self._plan = key, (blocks, np.argsort(np.concatenate(at)))
+        return self._plan[1]
+
+    def _cells(self, temperatures: np.ndarray, signs: list) -> np.ndarray:
+        """``negativity_grid`` over one run of temperatures: one
+        stacked ``eigvalsh`` per charge-block size and partition, and
+        each cell's spectrum in charge order, so that E_N sums it as a
+        solve block by block would."""
+        rho = self.thermal_rho(tuple(temperatures.tolist()))
+        cells = np.empty((len(temperatures), len(signs), 3))
+        for j, labels in enumerate(signs):
+            blocks, order = self._charge_blocks(labels)
+            spectra = np.concatenate(
+                [np.linalg.eigvalsh(rho[:, idx]).reshape(len(rho), idx[..., 0].size) for idx in blocks],
+                axis=1)
+            for i, spectrum in enumerate(spectra[:, order]):
+                cells[i, j] = _cell(_e_n(spectrum), float(spectrum.min()))
+        return cells
 
     def negativity_grid(self, temperatures, partitions) -> np.ndarray:
         """(E_N, E_l, margin) of every cell, shape (temperatures,
@@ -179,7 +225,9 @@ class SpinModel:
         does.  E_N alone vanishes on the PPT side, and -lambda_min
         alone misplaces the root when the lowest eigenvalue is
         degenerate (E_N = 2 |lambda_min| for a pair).  Every partition
-        is checked before the first thermal state is built.
+        and temperature is checked before the first thermal state is
+        built; the states are built over runs of temperatures bounded
+        as in ``lattice.stacked``.
         """
         signs = [label_signs(partition) for partition in partitions]
         for labels in signs:
@@ -187,14 +235,8 @@ class SpinModel:
                 raise ValueError(
                     f"partition of {len(labels)} sites does not match the {self.n}-site model"
                 )
-        grid = np.empty((len(temperatures), len(partitions), 3))
-        for i, temperature in enumerate(temperatures):
-            rho = self.thermal_rho(temperature)
-            for j, labels in enumerate(signs):
-                blocks = self._charge_blocks(labels)
-                spectrum = np.concatenate([np.linalg.eigvalsh(rho[idx]) for idx in blocks])
-                grid[i, j] = _cell(_e_n(spectrum), float(spectrum.min()))
-        return grid
+        temps = temperature_array(temperatures)
+        return stacked(lambda run: self._cells(run, signs), temps, self._entries)
 
 
 class SpinStarModel:

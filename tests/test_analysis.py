@@ -245,12 +245,16 @@ class TestNegativityGrid:
             # (central) and 210 (external) at 8 sites
             (ModelSpec(kind="spin_half", topology="star", n_sites=8, h=0.4),
              [central_vs_rest(8), single_external_vs_rest(8, 2)], 144),
+            # per temperature a Gibbs state of C(12, 6) = 924 sector-block
+            # entries at 6 sites, for every partition
+            (ModelSpec(kind="spin_half", topology="ring_nn", n_sites=6, h=0.4),
+             [half_half(6), even_odd(6), from_mask("++-+--")], 2 * 924),
             # per temperature a dense solve of 144 entries, mirror halves
             # of 36 and Bloch blocks of 48 (complex, so 2 * 48 floats)
             (ModelSpec(kind="harmonic", topology="ring_nn", n_sites=12, c=0.4),
              [from_mask("+++-+--+-++-"), half_half(12), even_odd(12)], 100),
         ],
-        ids=["spin-star", "harmonic-ring"],
+        ids=["spin-star", "spin-ring", "harmonic-ring"],
     )
     @pytest.mark.parametrize("one", [True, False], ids=["one", "two"])
     def test_chunked_grid_equals_one_stack(self, monkeypatch, spec, parts, entries, one):

@@ -330,6 +330,21 @@ class TestConfigHandling:
             main(["sweep", "--no-such-flag"])
         assert exc.value.code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+    def test_command_help_lists_every_config_flag(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        shown = {word.strip("[],") for word in capsys.readouterr().out.split()}
+        assert {"--config"} | {cli._flag(key) for key in CONFIG_KEYS} <= shown
+
+    def test_top_level_help_lists_every_command(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        lines = [line.split() for line in capsys.readouterr().out.splitlines()]
+        assert set(cli.COMMANDS) | {"reproduce"} <= {words[0] for words in lines if words}
+
     @pytest.mark.parametrize(
         "args",
         [

@@ -7,7 +7,7 @@ from conftest import cell
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thermaneg import analysis
+from thermaneg import analysis, lattice
 from thermaneg.analysis import EPS_PPT
 from thermaneg.lattice import ModelSpec
 from thermaneg.partitions import (
@@ -56,11 +56,12 @@ def sectors(n):
 
 def thermal_rho(model, temperature):
     """The model's Gibbs state as a dense 2^n x 2^n matrix: its sector
-    blocks, raveled end to end in ``sectors`` order, scattered back."""
-    blocks = model.thermal_rho(temperature)
+    blocks, raveled end to end by size and, within a size, in
+    ``sectors`` order, scattered back."""
+    blocks = model.thermal_rho((temperature,))[0]
     rho = np.zeros((2**model.n, 2**model.n))
     start = 0
-    for idx in sectors(model.n):
+    for idx in sorted(sectors(model.n), key=len):
         dim = len(idx)
         rho[np.ix_(idx, idx)] = blocks[start:start + dim * dim].reshape(dim, dim)
         start += dim * dim
@@ -190,14 +191,16 @@ class TestThermalState:
 
     def test_grid_builds_one_thermal_state_per_temperature(self, monkeypatch):
         model = ring(6)
-        temps = []
+        runs = []
         build = SpinModel.thermal_rho
         monkeypatch.setattr(
-            SpinModel, "thermal_rho", lambda self, t: temps.append(t) or build(self, t)
+            SpinModel, "thermal_rho", lambda self, ts: runs.append(ts) or build(self, ts)
         )
         grid = model.negativity_grid([0.4, 1.3], [even_odd(6), half_half(6), transfer_sweep(6)[2]])
         assert grid.shape == (2, 3, 3)
-        assert temps == [0.4, 1.3]
+        assert [t for run in runs for t in run] == [0.4, 1.3]
+        # the tracer compares these with ==, so each is a tuple of floats
+        assert all(type(run) is tuple and all(type(t) is float for t in run) for run in runs)
 
 
 class TestPartialTranspose:
@@ -309,21 +312,27 @@ class TestNegativity:
         assert e_n == pytest.approx(0.26216533476808, abs=1e-11)
 
 
-def eigensolve_sizes(monkeypatch):
-    """Record the size of every eigvalsh call from here on."""
-    sizes = []
+def eigvalsh_sides(monkeypatch):
+    """Record the side of every matrix that eigvalsh solves from here
+    on, one entry per matrix of a stacked input."""
+    sides = []
     solve = np.linalg.eigvalsh
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: sizes.append(len(m)) or solve(m))
-    return sizes
+
+    def record(m):
+        sides.extend([m.shape[-1]] * (m.size // m.shape[-1] ** 2))
+        return solve(m)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", record)
+    return sides
 
 
 class TestChargeBlocks:
     def test_partial_transpose_is_solved_per_charge_block(self, monkeypatch):
         model = star(6)
-        sizes = eigensolve_sizes(monkeypatch)
+        sides = eigvalsh_sides(monkeypatch)
         cell(model, 0.5, central_vs_rest(6))
         # the charge blocks of the hub transpose hold C(6, k) states
-        assert sizes == [1, 6, 15, 20, 15, 6, 1]
+        assert sorted(sides) == sorted([1, 6, 15, 20, 15, 6, 1])
 
     @pytest.mark.parametrize("topology", ["ring_nn", "star"])
     def test_partial_transpose_has_no_entry_outside_the_charge_blocks(self, topology):
@@ -333,11 +342,11 @@ class TestChargeBlocks:
         # transpose, a permutation of the dense state, is a zero
         for n in range(1, 9):
             model = spin_model(topology, n, 0.7)
-            size = len(model.thermal_rho(0.5))
+            size = model.thermal_rho((0.5,)).shape[1]
             parts = every_family(n, topology) if n >= 2 else [[1]]
             for p in parts:
                 labels = label_signs(p)
-                read = np.concatenate([idx.ravel() for idx in model._charge_blocks(labels)])
+                read = np.concatenate([idx.ravel() for idx in model._charge_blocks(labels)[0]])
                 assert np.array_equal(np.sort(read), np.arange(size)), (n, labels)
 
     def test_eleven_site_ring_forms_no_full_matrix(self):
@@ -351,6 +360,43 @@ class TestChargeBlocks:
         finally:
             tracemalloc.stop()
         assert peak < 4**11 * 8
+
+    def test_threshold_builds_its_plan_once(self, monkeypatch):
+        plans = []
+        lookup = SpinModel._charge_blocks
+
+        def record(self, labels):
+            plans.append(lookup(self, labels))
+            return plans[-1]
+
+        monkeypatch.setattr(SpinModel, "_charge_blocks", record)
+        spec = ModelSpec(kind="spin_half", topology="ring_nn", n_sites=8)
+        res = analysis.threshold_temperature(spec, half_half(8), engine=SpinModel(spec))
+        assert len(plans) > 20 and res.evaluations > 20
+        assert all(plan is plans[0] for plan in plans)
+
+    def test_one_eigensolve_per_block_side_and_temperature_run(self, monkeypatch):
+        # the half-half charge blocks at 8 sites hold C(8, k) states:
+        # five sides, and runs of 3, 3 and 2 of the 8 temperatures
+        shapes = []
+        solve = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: shapes.append(m.shape) or solve(m))
+        monkeypatch.setattr(lattice, "STACK_ENTRIES", 3 * math.comb(16, 8))
+        ring(8, 0.7).negativity_grid(np.linspace(0.0, 3.0, 8).tolist(), [half_half(8)])
+        runs = [shapes[i:i + 5] for i in range(0, len(shapes), 5)]
+        assert [len(run) for run in runs] == [5, 5, 5]
+        for run, length in zip(runs, (3, 3, 2)):
+            assert sorted(shape[-1] for shape in run) == [1, 8, 28, 56, 70]
+            assert {shape[0] for shape in run} == {length}
+
+    def test_plan_cache_holds_the_last_partition_only(self):
+        model = ring(8)
+        parts = [even_odd(8), half_half(8), from_mask("+--+-++-")]
+        model.negativity_grid([0.5, 1.0], parts)
+        key, (blocks, order) = model._plan
+        assert key == label_signs(parts[-1]).tobytes()
+        assert sum(idx.size for idx in blocks) == math.comb(16, 8)
+        assert sorted(order) == list(range(2**8))
 
     @pytest.mark.parametrize("n", range(2, 11))
     @pytest.mark.parametrize("topology", ["ring_nn", "star"])
