@@ -236,10 +236,10 @@ def threshold_temperature(
     ``t_hi``, the two ends of the scan; each failure mode gets its own
     message.  Should the scan see several sign changes, the largest-T
     one is refined and a warning is attached.  A ``tol`` that is not
-    positive, or a bracket that is not finite with t_lo < t_hi, raises
-    ValueError.
+    positive and finite, or a bracket that is not finite with
+    t_lo < t_hi, raises ValueError.
     """
-    if not (tol > 0.0 and math.isfinite(t_lo) and math.isfinite(t_hi) and t_lo < t_hi):
+    if not (0.0 < tol < math.inf and math.isfinite(t_lo) and math.isfinite(t_hi) and t_lo < t_hi):
         raise ValueError(
             f"root search needs tol > 0 and a finite range with lo < hi, "
             f"got tol={tol}, range=({t_lo}, {t_hi})"

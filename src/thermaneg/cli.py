@@ -264,8 +264,8 @@ class Experiment:
                 f"partitions.transfer_order must be 'forward' or 'reversed', "
                 f"got {self.transfer_order!r}"
             )
-        if not self.tol > 0:
-            raise ConfigError(f"run.tol must be positive, got {self.tol}")
+        if not 0 < self.tol < math.inf:
+            raise ConfigError(f"run.tol must be positive and finite, got {self.tol}")
         self.specs = tuple(self._model(n) for n in self.n_list)
 
     def engine(self, spec: ModelSpec):

@@ -22,7 +22,9 @@ picked from its input with no option:
   n/L >= 4, as for even-odd (L = 2) and blocks of b sites (L = 2b).
   In the Fourier basis, s_k = sqrt of the DFT of row 0, and A A^T is
   block diagonal over n/L momenta kappa, each block a Hermitian L x L
-  A_k A_k^H.  One stacked eigvalsh costs O(n L^2) instead of O(n^3).
+  A_k A_k^H.  Block n/L - kappa is the complex conjugate of block
+  kappa up to an order of its momenta, so only kappa = 0 .. (n/L) // 2
+  are solved.  One stacked eigvalsh costs O(n L^2) instead of O(n^3).
 * mirror blocks: V is exactly circulant and the signs are unchanged
   under a reflection i -> (c - i) mod n, as for half-half, every
   transfer partition and blocks with n/L = 2.  After a translation
@@ -225,11 +227,15 @@ def _bloch_spectrum(s: np.ndarray, temperatures: np.ndarray, cell: np.ndarray) -
     B[m, m'] = p((m - m') mod L), p the DFT of the cell over L.  A A^T
     is then block diagonal over kappa = 0 .. n/L - 1, with Hermitian
     L x L blocks A_k A_k^H, A_k = D+^{1/2}(kappa) B D-^{1/2}(kappa).
+    Block n/L - kappa holds the momenta -k of block kappa, m read as
+    L - 1 - m; s_k = s_-k and p of the real cell has p(-j) = conj(p(j)),
+    so it is the complex conjugate of block kappa, m reversed, and has
+    its spectrum.  Only kappa = 0 .. (n/L) // 2 are solved.
     """
     period = cell.size
     cells = s.size // period
-    # momenta of block kappa, shape (n/L, L)
-    k = np.arange(cells)[:, None] + cells * np.arange(period)[None, :]
+    # momenta of the solved blocks kappa, shape ((n/L) // 2 + 1, L)
+    k = np.arange(cells // 2 + 1)[:, None] + cells * np.arange(period)[None, :]
     m = np.arange(period)
     b = (np.fft.fft(cell) / period)[(m[:, None] - m[None, :]) % period]
 
@@ -237,9 +243,12 @@ def _bloch_spectrum(s: np.ndarray, temperatures: np.ndarray, cell: np.ndarray) -
         w = _weights(s, temps)
         a = np.sqrt(s / w)[:, k, None] * b * np.sqrt(1.0 / (w * s))[:, k][:, :, None, :]
         ev = np.linalg.eigvalsh(a @ a.conj().swapaxes(-1, -2))
+        # blocks n/L - kappa, kappa = 1 .. (n/L - 1) // 2, from their twins
+        ev = np.concatenate([ev, ev[:, 1:(cells + 1) // 2]], axis=1)
         return np.sort(ev.reshape(len(temps), s.size), axis=1)
 
-    # complex entries, two float64 each
+    # complex entries, two float64 each, of all n/L blocks: the twins'
+    # spectra are filled in too
     return stacked(spectra, temperatures, 2 * s.size * period)
 
 

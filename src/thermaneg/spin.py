@@ -9,7 +9,10 @@ sector, and gathers each charge-imbalance block of the partial
 transpose straight from those sector blocks: no 2^n x 2^n matrix is
 formed.  Sectors and charge blocks of one size are solved as one
 stack, and a partition's gather indices are built once, so that the
-probes of a threshold search share them.
+probes of a threshold search share them.  Where a rotation or
+reflection of the ring swaps the two sides of the partition (even-odd
+and half-half do), blocks q and -q of the partial transpose are
+isospectral and only the blocks with q >= 0 are solved.
 
 The XX star with field takes a second route, ``SpinStarModel``, with
 smaller blocks still: its outer sites couple to the hub only through
@@ -121,8 +124,10 @@ class SpinModel:
     ``eigh``; the Gibbs states at a run of temperatures are then two
     stacked matrix products per sector size away.  Each partition's
     charge blocks are gathered from those states by a plan built once
-    and kept for the last partition only, since one plan holds C(2n, n)
-    indices.  No 2^n x 2^n matrix is formed.
+    and kept for the last partition only, since one plan holds up to
+    C(2n, n) indices; where a symmetry of the bonds swaps a partition's
+    sides, its blocks q < 0 take the spectra of their twins q > 0 (see
+    ``_charge_blocks``).  No 2^n x 2^n matrix is formed.
     """
 
     def __init__(self, spec: ModelSpec):
@@ -149,6 +154,12 @@ class SpinModel:
             self._row[states] = self._entries + len(states) * np.arange(len(states))
             self._column[states] = np.arange(len(states))
             self._entries += len(states) ** 2
+        # the rotations and reflections of the sites that keep the bonds
+        i = np.arange(self.n)
+        edges = set(topology_edges(spec.topology, self.n))
+        self._symmetries = [
+            g for g in [(i + r) % self.n for r in i] + [(c - i) % self.n for c in i]
+            if {tuple(sorted((int(g[a]), int(g[b])))) for a, b in edges} == edges]
         self._plan = (None, None)
 
     def thermal_rho(self, temperatures: tuple) -> np.ndarray:
@@ -168,9 +179,10 @@ class SpinModel:
 
     def _charge_blocks(self, labels) -> tuple:
         """The plan of the partial transpose on the +1 sites of checked
-        labels: the indices into a ``thermal_rho`` state of its blocks,
-        one (count, size, size) stack per block size, and the order that
-        takes their spectra, stack after stack, to ascending charge.
+        labels: the indices into a ``thermal_rho`` state of its solved
+        blocks, one (count, size, size) stack per block size, and the
+        order that takes their spectra, stack after stack, to ascending
+        charge.
 
         The blocks are those of one charge imbalance q = N_B - N_A, the
         set bits outside the transposed sites A minus those inside
@@ -178,8 +190,14 @@ class SpinModel:
         (x, y) of the partial transpose is entry (x', y') of the state,
         x' = (x & ~A) | (y & A) and y' = (y & ~A) | (x & A); for x and y
         of one charge, x' and y' share a sector, so the blocks read each
-        entry of the sector blocks once.  Only the last labels' plan is
-        kept.
+        entry of the sector blocks once.
+
+        Where a rotation or reflection g of the sites keeps the bonds and
+        swaps A and B (labels[g] == -labels), only the blocks with
+        q >= 0 are solved, and block -q reads its twin's spectrum: the
+        state is real symmetric and g-invariant, so g rho^{T_A} g^T =
+        rho^{T_B} = rho^{T_A}, and g takes charge q to -q.  Only the last
+        labels' plan is kept.
         """
         key = labels.tobytes()
         if self._plan[0] != key:
@@ -189,13 +207,24 @@ class SpinModel:
             order, lengths = _runs(popcount(states) - 2 * popcount(states & transposed))
             starts = np.cumsum(lengths) - lengths
             inside, outside = order & transposed, order & ~transposed
+            # run r of ascending charge takes the spectrum of run read[r];
+            # a swap pairs the charges -q and q, runs r and len - 1 - r
+            runs = np.arange(len(lengths))
+            swapped = any(np.array_equal(labels[g], -labels) for g in self._symmetries)
+            read = np.maximum(runs, runs[::-1]) if swapped else runs
+            solved = np.flatnonzero(read == runs)
             blocks, at = [], []
-            for members in _groups(lengths):
+            for members in _groups(lengths[solved]):
+                members = solved[members]
                 x = starts[members][:, None] + np.arange(lengths[members[0]])
                 blocks.append(self._row[outside[x][:, :, None] | inside[x][:, None, :]]
                               + self._column[inside[x][:, :, None] | outside[x][:, None, :]])
                 at.append(x.ravel())
-            self._plan = key, (blocks, np.argsort(np.concatenate(at)))
+            at = np.concatenate(at)
+            where = np.empty_like(states)
+            where[at] = np.arange(at.size)
+            run = np.repeat(runs, lengths)
+            self._plan = key, (blocks, where[starts[read[run]] + states - starts[run]])
         return self._plan[1]
 
     def _cells(self, temperatures: np.ndarray, signs: list) -> np.ndarray:

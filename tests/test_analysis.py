@@ -306,6 +306,7 @@ class TestThreshold:
         "kwargs",
         [
             dict(tol=math.nan),
+            dict(tol=math.inf),
             dict(tol=0.0),
             dict(tol=-1e-6),
             dict(t_hi=math.inf),

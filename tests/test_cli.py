@@ -54,7 +54,7 @@ RING_PAIR = ["--kind", "harmonic", "--topology", "ring_nn", "--n-list", "8,8", "
 # Repeated or negative temperatures, repeated partitions or sizes, an
 # empty size list, non-finite couplings, couplings that overflow a
 # matrix entry, a t_range count too large for numpy, a bare 'blocks',
-# and models too large to allocate (a 2 PiB dense spin Hamiltonian, a
+# an infinite root-search tolerance, and models too large to allocate (a 2 PiB dense spin Hamiltonian, a
 # 182 TiB ring potential; both exceed a 47-bit address space, so they
 # fail at once): each is a config error, on one line.
 REJECTED_INPUTS = [
@@ -90,6 +90,7 @@ REJECTED_INPUTS = [
      "--t-list", "0.5", "--families", "central"],
     RING_MODEL + ["--t-range", "1,2,1e30", "--families", "even-odd"],
     RING_MODEL + ["--t-list", "1", "--families", "blocks"],
+    ["threshold"] + RING_MODEL[1:] + ["--families", "even-odd", "--tol", "inf"],
 ]
 
 
@@ -436,6 +437,14 @@ class TestConfigHandling:
         code, text = run(tmp_path, *RING_NO_SCHEDULE, *schedule)
         assert code == EXIT_CONFIG and text is None
         assert capsys.readouterr().err.startswith("config error: ")
+
+    def test_infinite_tolerance_names_the_setting(self, tmp_path, capsys):
+        # a tolerance wider than the scan would report a scan cell as the threshold
+        code, text = run(tmp_path, "threshold", *RING_MODEL[1:], "--families", "even-odd",
+                         "--tol", "inf")
+        assert code == EXIT_CONFIG and text is None
+        assert capsys.readouterr().err == (
+            "config error: run.tol must be positive and finite, got inf\n")
 
     @pytest.mark.parametrize(
         "args",

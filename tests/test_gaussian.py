@@ -285,6 +285,20 @@ class TestBlochRoute:
         cell(model, 0.5, even_odd(256))
         assert eigvalsh_shapes and all(shape[-2:] == (2, 2) for shape in eigvalsh_shapes)
 
+    @pytest.mark.parametrize("n", [16, 20])
+    def test_solves_one_block_of_each_conjugate_pair(self, eigvalsh_shapes, n):
+        # "++--" repeated: 4 cells at 16 sites, 5 at 20; block n/L - kappa
+        # is the conjugate of block kappa, so kappa = 0 .. cells // 2 are solved
+        v = build_ring_potential(n, 0.4)
+        p = from_mask("++--" * (n // 4))
+        temps = [0.0, 0.3, 1.0, math.inf]
+        spectra = GaussianModel(v)._spectrum(temps, p)
+        assert eigvalsh_shapes == [(len(temps), n // 4 // 2 + 1, 4, 4)]
+        dense = dense_spectrum(v)
+        for t, ev in zip(temps, spectra):
+            expected = dense(t, p)
+            assert np.all(np.abs(ev - expected) <= 1e-12 * np.maximum(1.0, np.abs(expected))), t
+
     @pytest.mark.parametrize(
         "v, p",
         [

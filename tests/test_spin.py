@@ -69,13 +69,46 @@ def thermal_rho(model, temperature):
     return rho
 
 
-def charge_block_spectrum(rho, labels):
-    """Eigenvalues of the partial transpose of a dense state, one charge
-    block at a time: the set bits outside the transposed (+1) sites
-    minus those inside, site i being bit n-1-i."""
+def charges(labels):
+    """The charge of each basis state: the set bits outside the
+    transposed (+1) sites minus those inside, site i being bit n-1-i."""
     n = len(labels)
     bits = (np.arange(2**n)[:, None] >> (n - 1 - np.arange(n))) & 1
-    charge = bits @ np.where(np.asarray(labels) > 0, -1, 1)
+    return bits @ np.where(np.asarray(labels) > 0, -1, 1)
+
+
+def ring_maps(n):
+    """The rotations and reflections of n ring sites, as index arrays."""
+    i = np.arange(n)
+    return [(i + r) % n for r in range(n)] + [(c - i) % n for c in range(n)]
+
+
+def swaps_the_sides(topology, labels):
+    """Whether a symmetry of the graph maps the +1 sites onto the -1
+    sites: on the ring one of its rotations and reflections, on the star
+    none from three sites on, since every symmetry fixes the hub."""
+    labels = np.asarray(labels)
+    if topology == "star" and len(labels) > 2:
+        return False
+    return any(np.array_equal(labels[g], -labels) for g in ring_maps(len(labels)))
+
+
+def state_entries(n):
+    """2^n x 2^n: the index of each entry in a ``thermal_rho`` state,
+    laid out as ``thermal_rho`` above reads it, -1 outside the sectors."""
+    index = np.full((2**n, 2**n), -1)
+    start = 0
+    for idx in sorted(sectors(n), key=len):
+        dim = len(idx)
+        index[np.ix_(idx, idx)] = start + np.arange(dim * dim).reshape(dim, dim)
+        start += dim * dim
+    return index
+
+
+def charge_block_spectrum(rho, labels):
+    """Eigenvalues of the partial transpose of a dense state, one charge
+    block at a time."""
+    charge = charges(labels)
     pt = partial_transpose(rho, labels)
     return np.concatenate([
         np.linalg.eigvalsh(pt[np.ix_(idx, idx)])
@@ -339,15 +372,28 @@ class TestChargeBlocks:
         # the spectrum is taken block by block with no check, so the
         # charge blocks must read every entry of the state's sector
         # blocks, each once: then every other entry of the partial
-        # transpose, a permutation of the dense state, is a zero
+        # transpose, a permutation of the dense state, is a zero.  Where
+        # a symmetry swaps the sides, the solved blocks q >= 0 read each
+        # of their entries once and the blocks -q take their spectra
         for n in range(1, 9):
             model = spin_model(topology, n, 0.7)
             size = model.thermal_rho((0.5,)).shape[1]
+            entries = state_entries(n)
             parts = every_family(n, topology) if n >= 2 else [[1]]
             for p in parts:
                 labels = label_signs(p)
+                inside = lattice.site_mask(n, np.flatnonzero(labels > 0))
+                charge = charges(labels)
+                blocks = {}
+                for q in np.unique(charge):
+                    x, y = np.meshgrid(*[np.flatnonzero(charge == q)] * 2, indexing="ij")
+                    blocks[q] = entries[(x & ~inside) | (y & inside), (y & ~inside) | (x & inside)]
+                every = np.concatenate([b.ravel() for b in blocks.values()])
+                assert np.array_equal(np.sort(every), np.arange(size)), (n, labels)
+                pairs = swaps_the_sides(topology, labels)
+                solved = np.concatenate([b.ravel() for q, b in blocks.items() if q >= 0 or not pairs])
                 read = np.concatenate([idx.ravel() for idx in model._charge_blocks(labels)[0]])
-                assert np.array_equal(np.sort(read), np.arange(size)), (n, labels)
+                assert np.array_equal(np.sort(read), np.sort(solved)), (n, labels)
 
     def test_eleven_site_ring_forms_no_full_matrix(self):
         # one 2^11 x 2^11 float array alone would take 4^11 * 8 bytes
@@ -394,9 +440,18 @@ class TestChargeBlocks:
         parts = [even_odd(8), half_half(8), from_mask("+--+-++-")]
         model.negativity_grid([0.5, 1.0], parts)
         key, (blocks, order) = model._plan
-        assert key == label_signs(parts[-1]).tobytes()
-        assert sum(idx.size for idx in blocks) == math.comb(16, 8)
-        assert sorted(order) == list(range(2**8))
+        labels = label_signs(parts[-1])
+        assert key == labels.tobytes()
+        # the half turn i -> i + 4 swaps the sides: blocks q >= 0 alone
+        # are held, and block -q reads the positions of block q
+        assert swaps_the_sides("ring_nn", labels)
+        q, sides = np.unique(charges(labels), return_counts=True)
+        assert sum(idx.size for idx in blocks) == np.sum(sides[q >= 0] ** 2)
+        starts = np.cumsum(sides) - sides
+        for charge, start, side in zip(q, starts, sides):
+            twin = starts[q == -charge][0]
+            assert np.array_equal(order[start:start + side], order[twin:twin + side])
+        assert np.array_equal(np.unique(order), np.arange(np.sum(sides[q >= 0])))
 
     @pytest.mark.parametrize("n", range(2, 11))
     @pytest.mark.parametrize("topology", ["ring_nn", "star"])
@@ -410,6 +465,89 @@ class TestChargeBlocks:
                     oracle = dense_oracle(rho, p)
                     assert abs(e_n - oracle) <= 1e-12, (h, t, p.id)
                     assert (e_n < EPS_PPT) == (oracle < EPS_PPT), (h, t, p.id)
+
+
+def swap_symmetric_masks(n, rng, count=3):
+    """Seeded random ring masks that a rotation or reflection g maps to
+    their negation: along each orbit of g, of even length, the signs
+    alternate from a random start, so each orbit is split in half.
+    Odd rings have none, since there every such g has an odd orbit."""
+    maps = ring_maps(n)
+    masks = []
+    while n % 2 == 0 and len(masks) < count:
+        g = maps[rng.integers(len(maps))]
+        labels = np.zeros(n, dtype=int)
+        for start in range(n):
+            orbit = [start]
+            while g[orbit[-1]] != start:
+                orbit.append(g[orbit[-1]])
+            if len(orbit) % 2:
+                break
+            if not labels[start]:
+                labels[orbit] = rng.choice([-1, 1]) * (-1) ** np.arange(len(orbit))
+        else:
+            masks.append(from_mask("".join("+" if s > 0 else "-" for s in labels)))
+    return masks
+
+
+def block_sides(labels):
+    """The side of every charge block of the labels, one per block."""
+    return sorted(np.unique(charges(labels), return_counts=True)[1].tolist())
+
+
+class TestSwappedSides:
+    """Charge blocks q and -q of a partition whose sides a symmetry of
+    the graph swaps: one of each pair is solved."""
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_paired_blocks_match_the_unpaired_solve(self, n):
+        temps = [0.0, 0.05, 1.0, 3.0, math.inf]
+        rng = np.random.default_rng(100 + n)
+        parts = swap_symmetric_masks(n, rng)
+        if n % 2 == 0:
+            parts.append(half_half(n))
+        if n % 2 == 0 and n >= 4:
+            parts.append(even_odd(n))
+        if n & (n - 1) == 0:
+            exp = n.bit_length() - 1
+            parts += [alternating_blocks(exp, nb) for nb in range(1, exp + 1)]
+        assert all(swaps_the_sides("ring_nn", label_signs(p)) for p in parts)
+        parts.append(from_mask("+" + "-" * (n - 1)))
+        for h in (0.0, 0.7, -1.3, 1.9):
+            unpaired = ring(n, h)
+            unpaired._symmetries = []
+            expected = unpaired.negativity_grid(temps, parts)
+            got = ring(n, h).negativity_grid(temps, parts)
+            assert np.all(np.abs(got - expected) <= 1e-12 * np.maximum(1.0, np.abs(expected))), h
+            assert np.array_equal(got[..., 0] < EPS_PPT, expected[..., 0] < EPS_PPT), h
+
+    def test_eight_site_half_half_solves_each_pair_once(self, monkeypatch):
+        sides = eigvalsh_sides(monkeypatch)
+        ring(8, 0.7).negativity_grid([0.5], [half_half(8)])
+        assert sorted(sides) == [1, 8, 28, 56, 70]
+
+    @pytest.mark.parametrize("mask", ["+-------", "+++--+--", "++---++-"])
+    def test_unswapped_sides_solve_every_block(self, monkeypatch, mask):
+        # external:1, and two masks of four sites a side with no swap
+        labels = label_signs(from_mask(mask))
+        assert not swaps_the_sides("ring_nn", labels)
+        sides = eigvalsh_sides(monkeypatch)
+        ring(8, 0.7).negativity_grid([0.5], [from_mask(mask)])
+        assert sorted(sides) == block_sides(labels)
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_star_never_pairs(self, monkeypatch, n):
+        # the star's symmetries fix the hub, so none swaps the sides,
+        # whichever outer sites a partition gives the hub
+        rng = np.random.default_rng(n)
+        parts = every_family(n, "star") + [
+            from_mask("".join(rng.permutation(list("+-" * (n // 2) + "-" * (n % 2)))), "star")
+            for _ in range(4)]
+        model = star(n, 0.7)
+        for p in parts:
+            sides = eigvalsh_sides(monkeypatch)
+            model.negativity_grid([0.5], [p])
+            assert sorted(sides) == block_sides(label_signs(p)), p.mask
 
 
 def random_star_labels(rng, n):
