@@ -247,9 +247,8 @@ def _bloch_spectrum(s: np.ndarray, temperatures: np.ndarray, cell: np.ndarray) -
         ev = np.concatenate([ev, ev[:, 1:(cells + 1) // 2]], axis=1)
         return np.sort(ev.reshape(len(temps), s.size), axis=1)
 
-    # complex entries, two float64 each, of all n/L blocks: the twins'
-    # spectra are filled in too
-    return stacked(spectra, temperatures, 2 * s.size * period)
+    # complex entries, two float64 each, of the solved blocks
+    return stacked(spectra, temperatures, 2 * (cells // 2 + 1) * period**2)
 
 
 def _log_gain(ev: np.ndarray) -> float:

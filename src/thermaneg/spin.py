@@ -3,24 +3,19 @@
 States live in the computational basis, where the XX-with-field
 Hamiltonians are real symmetric; density matrices and their partial
 transposes are then real symmetric too and a symmetric eigensolver
-applies throughout.  The Hamiltonians conserve the magnetisation, so
-``SpinModel`` builds, diagonalizes and keeps its states sector by
-sector, and gathers each charge-imbalance block of the partial
-transpose straight from those sector blocks: no 2^n x 2^n matrix is
-formed.  Sectors and charge blocks of one size are solved as one
-stack, and a partition's gather indices are built once, so that the
-probes of a threshold search share them.  Where a rotation or
-reflection of the ring swaps the two sides of the partition (even-odd
-and half-half do), blocks q and -q of the partial transpose are
-isospectral and only the blocks with q >= 0 are solved.
+applies throughout.  Both engines, ``SpinModel`` on the basis states
+and ``SpinStarModel`` on the star's collective-spin blocks, run one
+kernel, and no 2^n x 2^n matrix is formed:
 
-The XX star with field takes a second route, ``SpinStarModel``, with
-smaller blocks still: its outer sites couple to the hub only through
-their total spin, so the state splits into collective-spin blocks, and
-those into the same two kinds of block, magnetisation sectors and
-charge groups of the partial transpose, of at most 2 (2J + 1) states
-for the smaller of the two collective spins, so no collective block
-is formed (see the class docstring).
+* ``_layout`` lays the magnetisation sectors' blocks end to end in one
+  flat array, with ``row``/``column`` maps into it;
+* ``_solve`` diagonalizes H there, one stacked ``eigh`` per sector size;
+* ``_gibbs`` builds the Gibbs states of a run of temperatures and log Z;
+* ``_charge_groups`` plans the gather of each charge block of the
+  partial transpose straight from those sector blocks, and
+  ``_spectra`` solves them, one stacked ``eigvalsh`` per block size;
+* ``_reduce`` turns the spectra into E_N and the lowest eigenvalue,
+  each block weighted by its log weight.
 
 E_N sums the absolute values of the negative eigenvalues of the
 partially transposed state and E_l = log2(1 + E_N).  See the module
@@ -57,11 +52,6 @@ _GROUND_ATOL = 1e-10
 _EPS = float(np.finfo(float).eps)
 
 
-def _sym(m: np.ndarray) -> np.ndarray:
-    """The symmetric part of a matrix, or of each in a stack."""
-    return 0.5 * (m + m.swapaxes(-1, -2))
-
-
 def _runs(keys: np.ndarray) -> tuple:
     """(order, lengths): the indices that sort ``keys`` stably, and the
     length of each run of equal keys in that order, ascending by key.
@@ -90,70 +80,166 @@ def _boltzmann(excitations: np.ndarray, temperatures: np.ndarray) -> np.ndarray:
     overflows; exp(-inf) = 0 where the ratio overflows at the smallest
     temperatures.  T = 0 weighs the ground space alone."""
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        weights = np.exp(-excitations / temperatures[:, None])
+        weights = np.exp(excitations / -temperatures[:, None])
     weights[temperatures == 0.0] = excitations == 0.0
     return weights
 
 
-def _sector_hamiltonians(spec: ModelSpec) -> list:
-    """(states, H block) of each magnetisation sector, k = 0 .. n set
-    bits in turn, its basis indices ascending.  Site i (0-based) is bit
-    n-1-i, as ``site_mask`` and ``popcount`` read it, and a set bit is a
-    down spin: the field h sigma_z of every site puts h (n - 2k) on the
-    diagonal, and each bond's exchange -(sigma_x sigma_x + sigma_y
-    sigma_y) puts -2 between the two states that its flip of two unequal
-    bits joins.
+def _layout(keys: np.ndarray) -> tuple:
+    """The sectors, runs of equal keys over a basis, as blocks raveled
+    end to end: size after size, keys ascending within a size, states
+    ascending within a block.  Returns (row, column, first, sizes):
+    entry (u, v) of a block is entry row[u] + column[v], and each
+    sector's first state and size, in layout order."""
+    order, lengths = _runs(keys)
+    starts = np.cumsum(lengths) - lengths
+    sector = np.repeat(np.arange(len(lengths)), lengths)
+    ranked = np.concatenate(_groups(lengths))
+    offsets = np.empty_like(lengths)
+    offsets[ranked] = np.cumsum(lengths[ranked] ** 2) - lengths[ranked] ** 2
+    column = np.empty_like(order)
+    column[order] = np.arange(len(order)) - starts[sector]
+    row = np.empty_like(order)
+    row[order] = offsets[sector] + lengths[sector] * column[order]
+    return row, column, order[starts[ranked]], lengths[ranked]
+
+
+def _solve(ham: np.ndarray, sizes: np.ndarray) -> tuple:
+    """(excitations, eigenvectors) of a flat H laid out by ``_layout``
+    with these sector sizes: the energies above the ground energy of
+    all sectors (see ``_excitations``), flat in layout order, and one
+    (count, size, size) stack of eigenvectors per sector size."""
+    _, counts = _runs(sizes)
+    size = sizes[np.cumsum(counts) - 1]
+    pairs = [np.linalg.eigh(block.reshape(count, side, side)) for block, count, side
+             in zip(np.split(ham, np.cumsum(counts * size**2)[:-1]), counts, size)]
+    energies = np.concatenate([values.ravel() for values, _ in pairs])
+    return _excitations(energies, energies.min()), [vectors for _, vectors in pairs]
+
+
+def _gibbs(sectors: tuple, log_d, temperatures: np.ndarray) -> tuple:
+    """(states, log Z), one row per temperature, from ``_solve``'s
+    sectors: the unnormalized Gibbs states, laid out as H is, by one
+    stacked product per sector size, and log Z by a log-sum-exp over
+    the sectors, sector s counted exp(log_d[s]) times, so that no
+    multiplicity overflows it.  Every reduction runs along the last
+    axis, so that a run of one temperature and a run of many round
+    alike."""
+    excitations, evecs = sectors
+    weights = _boltzmann(excitations, temperatures)
+    states = np.empty((len(weights), sum(vectors.size for vectors in evecs)))
+    sums, start, at = [], 0, 0
+    for vectors in evecs:
+        stop = start + vectors.shape[0] * vectors.shape[1]
+        w = weights[:, start:stop].reshape(len(weights), *vectors.shape[:2])
+        sums.append(np.add.reduce(w, axis=2))
+        product = (vectors * w[:, :, None, :]) @ vectors.swapaxes(1, 2)
+        # twice the symmetric part, halved below for all sizes at once
+        out = states[:, at:at + vectors.size].reshape(product.shape)
+        np.add(product, product.swapaxes(2, 3), out=out)
+        start, at = stop, at + vectors.size
+    states *= 0.5
+    # a sector without weight adds 0
+    with np.errstate(divide="ignore"):
+        logs = log_d + np.log(np.concatenate(sums, axis=1))
+    top = np.maximum.reduce(logs, axis=1, keepdims=True)
+    return states, top + np.log(np.add.reduce(np.exp(logs - top), axis=1, keepdims=True))
+
+
+def _charge_groups(keys: np.ndarray, inside: np.ndarray, outside: np.ndarray,
+                   row: np.ndarray, column: np.ndarray) -> tuple:
+    """The charge groups of a partial transpose, runs of equal ``keys``
+    over a list of basis states, each state's index the sum of its
+    parts ``inside`` and ``outside`` the transposed sites.  Returns
+    (stacks, first, sizes): per group size, the (count, size, size)
+    indices of its groups' entries into a state laid out by ``_layout``
+    with maps ``row`` and ``column``; and each group's first member (a
+    position in the list) and size, in the stacks' order.
+
+    Entry (x, y) of a group is entry (x', y') of the state, with
+    x' = outside(x) + inside(y) and y' = inside(x) + outside(y)
+    (Cornfeld, Goldstein & Sela, PRA 98, 032302 (2018)); for x and y of
+    one charge, x' and y' share a sector, so the groups of all charges
+    read each entry of the sector blocks once.
+    """
+    order, lengths = _runs(keys)
+    starts = np.cumsum(lengths) - lengths
+    ranked = _groups(lengths)
+    stacks = []
+    for members in ranked:
+        x = order[starts[members][:, None] + np.arange(lengths[members[0]])]
+        stacks.append(row[outside[x][:, :, None] + inside[x][:, None, :]]
+                      + column[inside[x][:, :, None] + outside[x][:, None, :]])
+    ranked = np.concatenate(ranked)
+    return stacks, order[starts[ranked]], lengths[ranked]
+
+
+def _spectra(states: np.ndarray, stacks: list) -> np.ndarray:
+    """The eigenvalues of the groups that ``_charge_groups``' stacks
+    gather from each state, ascending within each group, in the stacks'
+    order: one stacked ``eigvalsh`` per group size."""
+    return np.concatenate(
+        [np.linalg.eigvalsh(states.take(idx, axis=1)).reshape(len(states), idx[..., 0].size)
+         for idx in stacks],
+        axis=1)
+
+
+def _reduce(spectra: np.ndarray, stacks: list, below, log_weights) -> tuple:
+    """(E_N, lowest eigenvalue) per row of ``_spectra``: E_N adds up the
+    eigenvalues below ``below`` (broadcast against the spectra), each
+    group's sum times exp(its log weight) taken in logs, so that a
+    weight that overflows where the sum is 0 adds nothing."""
+    negative = np.where(spectra < below, spectra, 0.0)
+    sums, start = [], 0
+    for idx in stacks:
+        count, size = idx.shape[:2]
+        group = negative[:, start:start + count * size].reshape(len(spectra), count, size)
+        sums.append(np.add.reduce(group, axis=2))
+        start += count * size
+    with np.errstate(divide="ignore"):
+        e_n = np.add.reduce(np.exp(log_weights + np.log(-np.concatenate(sums, axis=1))), axis=1)
+    return e_n, np.minimum.reduce(spectra, axis=1)
+
+
+def _sector_hamiltonians(spec: ModelSpec) -> tuple:
+    """(H, layout): H of each magnetisation sector, k set bits, laid out
+    by ``_layout``.  Site i (0-based) is bit n-1-i, as ``site_mask`` and
+    ``popcount`` read it, and a set bit is a down spin: the field
+    h sigma_z of every site puts h (n - 2k) on the diagonal, and each
+    bond's exchange -(sigma_x sigma_x + sigma_y sigma_y) puts -2 between
+    the two states that its flip of two unequal bits joins.
     """
     n = spec.n_sites
-    masks = [site_mask(n, bond) for bond in topology_edges(spec.topology, n)]
-    sectors = []
-    for k, states in enumerate(_groups(popcount(np.arange(2**n)))):
-        block = np.zeros((len(states), len(states)))
-        # added to 0.0, so that a field term of -0.0 enters eigh as 0.0
-        block[np.diag_indices_from(block)] += spec.h * (n - 2 * k)
-        for mask in masks:
-            flips = states[popcount(states & mask) == 1]
-            block[np.searchsorted(states, flips ^ mask), np.searchsorted(states, flips)] = -2.0
-        sectors.append((states, block))
-    return sectors
+    states = np.arange(2**n)
+    down = popcount(states)
+    layout = _layout(down)
+    row, column, _, sizes = layout
+    ham = np.zeros(int((sizes**2).sum()))
+    # added to 0.0, so that a field term of -0.0 enters eigh as 0.0
+    ham[row + column] += spec.h * (n - 2 * down)
+    for bond in topology_edges(spec.topology, n):
+        mask = site_mask(n, bond)
+        flips = states[popcount(states & mask) == 1]
+        ham[row[flips ^ mask] + column[flips]] = -2.0
+    return ham, layout
 
 
 class SpinModel:
-    """The spin-1/2 XX model with field, diagonalized once, sector by
-    sector, every sector size (k and n - k set bits) in one stacked
-    ``eigh``; the Gibbs states at a run of temperatures are then two
-    stacked matrix products per sector size away.  Each partition's
-    charge blocks are gathered from those states by a plan built once
-    and kept for the last partition only, since one plan holds up to
-    C(2n, n) indices; where a symmetry of the bonds swaps a partition's
-    sides, its blocks q < 0 take the spectra of their twins q > 0 (see
-    ``_charge_blocks``).  No 2^n x 2^n matrix is formed.
+    """The spin-1/2 XX model with field on the basis states: the
+    module's kernel with every sector counted once.  A partition's
+    gather plan is built once and kept for the last partition only,
+    since one plan holds up to C(2n, n) indices; where a symmetry of
+    the bonds swaps its sides, blocks q < 0 are not solved and their
+    twins q > 0 weigh twice (see ``_charge_blocks``).
     """
 
     def __init__(self, spec: ModelSpec):
         if spec.kind != "spin_half":
             raise ValueError(f"expected a spin model, got kind={spec.kind!r}")
         self.n = spec.n_sites
-        sectors = _sector_hamiltonians(spec)
-        lengths = np.array([len(states) for states, _ in sectors])
-        starts = np.cumsum(lengths) - lengths
-        by_size = _groups(lengths)
-        pairs = [np.linalg.eigh(np.stack([sectors[k][1] for k in ks])) for ks in by_size]
-        # the eigenvalues in k order, so that Z sums them as one list
-        # does; _places[s] places size s's in that list
-        self._places = [starts[ks][:, None] + np.arange(lengths[ks[0]]) for ks in by_size]
-        energies = np.empty(2**self.n)
-        for at, (evals, _) in zip(self._places, pairs):
-            energies[at] = evals
-        self._excitations = _excitations(energies, energies.min())
-        self._evecs = [evecs for _, evecs in pairs]
-        # entry (s, t) of a sector block is entry _row[s] + _column[t] of a state
-        self._row, self._column = np.empty((2, 2**self.n), dtype=np.intp)
-        self._entries = 0
-        for states, _ in (sectors[k] for ks in by_size for k in ks):
-            self._row[states] = self._entries + len(states) * np.arange(len(states))
-            self._column[states] = np.arange(len(states))
-            self._entries += len(states) ** 2
+        ham, (self._row, self._column, _, sizes) = _sector_hamiltonians(spec)
+        self._sectors = _solve(ham, sizes)
+        self._entries = len(ham)
         # the rotations and reflections of the sites that keep the bonds
         i = np.arange(self.n)
         edges = set(topology_edges(spec.topology, self.n))
@@ -170,77 +256,49 @@ class SpinModel:
         gives the uniform mixture over the ground eigenspace (the
         zero-temperature limit).
         """
-        temps = temperature_array(temperatures)
-        w = _boltzmann(self._excitations, temps)
-        w /= w.sum(axis=1, keepdims=True)
-        return np.concatenate(
-            [_sym((evecs * w[:, at][:, :, None, :]) @ evecs.swapaxes(1, 2)).reshape(len(temps), evecs.size)
-             for at, evecs in zip(self._places, self._evecs)], axis=1)
+        rho, log_z = _gibbs(self._sectors, 0.0, temperature_array(temperatures))
+        rho *= np.exp(-log_z)
+        return rho
 
     def _charge_blocks(self, labels) -> tuple:
         """The plan of the partial transpose on the +1 sites of checked
-        labels: the indices into a ``thermal_rho`` state of its solved
-        blocks, one (count, size, size) stack per block size, and the
-        order that takes their spectra, stack after stack, to ascending
-        charge.
-
-        The blocks are those of one charge imbalance q = N_B - N_A, the
-        set bits outside the transposed sites A minus those inside
-        (Cornfeld, Goldstein & Sela, PRA 98, 032302 (2018)).  Entry
-        (x, y) of the partial transpose is entry (x', y') of the state,
-        x' = (x & ~A) | (y & A) and y' = (y & ~A) | (x & A); for x and y
-        of one charge, x' and y' share a sector, so the blocks read each
-        entry of the sector blocks once.
+        labels: the ``_charge_groups`` stacks of its solved blocks, one
+        per charge imbalance q = N_B - N_A (set bits outside the
+        transposed sites A minus those inside), and each block's log
+        weight.
 
         Where a rotation or reflection g of the sites keeps the bonds and
-        swaps A and B (labels[g] == -labels), only the blocks with
-        q >= 0 are solved, and block -q reads its twin's spectrum: the
-        state is real symmetric and g-invariant, so g rho^{T_A} g^T =
-        rho^{T_B} = rho^{T_A}, and g takes charge q to -q.  Only the last
-        labels' plan is kept.
+        swaps A and B (labels[g] == -labels), only the blocks q >= 0 are
+        solved, and each q > 0 weighs log 2 for itself and its twin -q:
+        the state is real symmetric and g-invariant, so
+        g rho^{T_A} g^T = rho^{T_B} = rho^{T_A}, and g takes charge q to
+        -q.  Every other block weighs log 1 = 0.  Only the last labels'
+        plan is kept.
         """
         key = labels.tobytes()
         if self._plan[0] != key:
             self._plan = None, None  # free the old plan before the new one is built
             transposed = site_mask(self.n, np.flatnonzero(labels > 0))
             states = np.arange(2**self.n)
-            order, lengths = _runs(popcount(states) - 2 * popcount(states & transposed))
-            starts = np.cumsum(lengths) - lengths
-            inside, outside = order & transposed, order & ~transposed
-            # run r of ascending charge takes the spectrum of run read[r];
-            # a swap pairs the charges -q and q, runs r and len - 1 - r
-            runs = np.arange(len(lengths))
-            swapped = any(np.array_equal(labels[g], -labels) for g in self._symmetries)
-            read = np.maximum(runs, runs[::-1]) if swapped else runs
-            solved = np.flatnonzero(read == runs)
-            blocks, at = [], []
-            for members in _groups(lengths[solved]):
-                members = solved[members]
-                x = starts[members][:, None] + np.arange(lengths[members[0]])
-                blocks.append(self._row[outside[x][:, :, None] | inside[x][:, None, :]]
-                              + self._column[inside[x][:, :, None] | outside[x][:, None, :]])
-                at.append(x.ravel())
-            at = np.concatenate(at)
-            where = np.empty_like(states)
-            where[at] = np.arange(at.size)
-            run = np.repeat(runs, lengths)
-            self._plan = key, (blocks, where[starts[read[run]] + states - starts[run]])
+            charge = popcount(states) - 2 * popcount(states & transposed)
+            twins = any(np.array_equal(labels[g], -labels) for g in self._symmetries)
+            x = np.flatnonzero((charge >= 0) | (not twins))
+            blocks, first, _ = _charge_groups(
+                charge[x], x & transposed, x & ~transposed, self._row, self._column)
+            self._plan = key, (blocks, np.where(twins & (charge[x[first]] > 0), math.log(2.0), 0.0))
         return self._plan[1]
 
     def _cells(self, temperatures: np.ndarray, signs: list) -> np.ndarray:
         """``negativity_grid`` over one run of temperatures: one
-        stacked ``eigvalsh`` per charge-block size and partition, and
-        each cell's spectrum in charge order, so that E_N sums it as a
-        solve block by block would."""
+        stacked ``eigvalsh`` per charge-block size and partition."""
         rho = self.thermal_rho(tuple(temperatures.tolist()))
         cells = np.empty((len(temperatures), len(signs), 3))
         for j, labels in enumerate(signs):
-            blocks, order = self._charge_blocks(labels)
-            spectra = np.concatenate(
-                [np.linalg.eigvalsh(rho[:, idx]).reshape(len(rho), idx[..., 0].size) for idx in blocks],
-                axis=1)
-            for i, spectrum in enumerate(spectra[:, order]):
-                cells[i, j] = _cell(_e_n(spectrum), float(spectrum.min()))
+            blocks, log_weights = self._charge_blocks(labels)
+            spectra = _spectra(rho, blocks)
+            e_n, lowest = _reduce(spectra, blocks, NEGATIVE_EIGENVALUE_CUTOFF, log_weights)
+            for i, values in enumerate(zip(e_n.tolist(), lowest.tolist())):
+                cells[i, j] = _cell(*values)
         return cells
 
     def negativity_grid(self, temperatures, partitions) -> np.ndarray:
@@ -293,11 +351,9 @@ class SpinStarModel:
     q = s - i_T + i_R (Cornfeld, Goldstein & Sela, PRA 98, 032302
     (2018)), so it splits into groups of fixed q; both have at most
     2 min(2J_T + 1, 2J_R + 1) states: 2 on the hub-vs-rest cell, at most
-    4 on one outer site.  As in ``SpinModel``, the Gibbs state is its
-    sector blocks raveled end to end, and each group is gathered from
-    them.  One grouping's sector eigenpairs are found on first use and
-    cached per a, every sector size in one stacked ``eigh``; its ground
-    energy and the ground-space clamp are taken across all its sectors.
+    4 on one outer site.  Sectors and groups run through the module's
+    kernel, a sector's log weight log d and a group's its block's.  One
+    grouping's plan is built on first use and cached per a.
     """
 
     def __init__(self, n: int, h: float = 0.0):
@@ -356,22 +412,13 @@ def _star_plan(a: int, rest: int, h: float) -> tuple:
     ``rest`` kept outer sites that does not depend on temperature.
 
     The blocks' states run end to end, block after block, each block's
-    (s, i_T, i_R) in that index order.  Returns (sectors, sector log
-    multiplicities, groups, group log multiplicities, group cutoffs,
-    group blocks, block order, block starts, entries):
-
-    * sectors: (excitations, eigenvectors) of each sector size, of
-      shapes (count, size) and (count, size, size); the state's sector
-      blocks run in this order, and ``entries`` is their total size;
-    * groups: for each group size, the (count, size, size) indices
-      into the state of its groups' entries.  Entry (x, y) of a group
-      is entry (x', y') of the state, x' taking its hub and R from x
-      and its T from y, y' the other way round; for x and y of one
-      charge, x' and y' share a sector;
-    * per group, in the groups' order: its block's log multiplicity,
-      its block's cutoff on the scale of the block's largest
-      |eigenvalue|, and its block; the block order and block starts
-      give the groups block by block.
+    (s, i_T, i_R) in that index order; its sectors of fixed N go to
+    ``_layout`` and its groups of fixed q to ``_charge_groups``.
+    Returns (``_solve``'s sectors, their log multiplicities, the group
+    stacks, their log multiplicities, each block's cutoff on the scale
+    of its largest |eigenvalue|, the block of each eigenvalue of
+    ``_spectra`` with the order and starts that run through them block
+    by block, the state's size).
     """
     blocks = [(two_t, two_r, math.log(d_t * d_r))
               for two_t, d_t in _multiplicities(a) for two_r, d_r in _multiplicities(rest)]
@@ -383,90 +430,38 @@ def _star_plan(a: int, rest: int, h: float) -> tuple:
     hub = local // size_rt[block]
     low_t, low_r = local // size_r[block] % (two_t + 1)[block], local % size_r[block]
     span = int((two_t + two_r).max()) + 2
-
-    # sectors of one N, block after block, then reordered by size; entry
-    # (u, v) of a sector is entry row[u] + column[v] of the state
-    order, lengths = _runs(block * span + hub + low_t + low_r)
-    sector = np.repeat(np.arange(len(lengths)), lengths)
-    column = np.empty_like(order)
-    column[order] = np.arange(len(order)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-    by_size = _groups(lengths)
-    ranked = np.concatenate(by_size)
-    offsets = np.empty_like(lengths)
-    offsets[ranked] = np.cumsum(lengths[ranked] ** 2) - lengths[ranked] ** 2
-    row = np.empty_like(order)
-    row[order] = offsets[sector] + lengths[sector] * column[order]
-    sector_log_d = log_d[block[order[np.cumsum(lengths) - lengths]]][ranked]
+    row, column, first, sizes = _layout(block * span + hub + low_t + low_r)
 
     # the field puts h(2J_T + 2J_R + 1 - 2N) on the diagonal, and the
     # exchange -2 sqrt((i + 1)(2J - i)) between a down hub and the up
     # hub with one lowering more in T or in R
-    ham = np.zeros(int(offsets[ranked[-1]] + lengths[ranked[-1]] ** 2))
+    ham = np.zeros(int((sizes**2).sum()))
     ham[row + column] += h * (two_t[block] + two_r[block] + 1 - 2 * (hub + low_t + low_r))
     for low, two, step in ((low_t, two_t, size_r), (low_r, two_r, np.ones_like(two_r))):
         down = np.flatnonzero((hub == 1) & (low < two[block]))
         up = down - (size_rt - step)[block[down]]
         ham[row[down] + column[up]] = ham[row[up] + column[down]] = -2.0 * np.sqrt(
             (low[down] + 1.0) * (two[block[down]] - low[down]))
-    pairs, start = [], 0
-    for members in by_size:
-        size = int(lengths[members[0]])
-        stop = start + len(members) * size**2
-        pairs.append(np.linalg.eigh(ham[start:stop].reshape(-1, size, size)))
-        start = stop
-    ground = min(evals.min() for evals, _ in pairs)
-    sectors = [(_excitations(evals, ground), evecs) for evals, evecs in pairs]
 
     inside = low_t * size_r[block]
-    outside = np.arange(len(block)) - inside
-    order, lengths = _runs(block * span + hub + two_t[block] - low_t + low_r)
-    starts = np.cumsum(lengths) - lengths
-    groups, group_block = [], []
-    for members in _groups(lengths):
-        x = order[starts[members][:, None] + np.arange(lengths[members[0]])]
-        groups.append(row[outside[x][:, :, None] + inside[x][:, None, :]]
-                      + column[outside[x][:, None, :] + inside[x][:, :, None]])
-        group_block.append(block[x[:, 0]])
-    group_block = np.concatenate(group_block)
-    by_block, counts = _runs(group_block)
+    groups, group_first, group_sizes = _charge_groups(
+        block * span + hub + two_t[block] - low_t + low_r,
+        inside, np.arange(len(block)) - inside, row, column)
+    group_block = block[group_first]
+    eigenvalue_block = np.repeat(group_block, group_sizes)
+    by_block, counts = _runs(eigenvalue_block)
     cutoff = np.minimum(NEGATIVE_EIGENVALUE_CUTOFF, -dims * _EPS)
-    return (sectors, sector_log_d, groups,
-            log_d[group_block], cutoff[group_block], group_block, by_block,
-            np.cumsum(counts) - counts, len(ham))
+    return (_solve(ham, sizes), log_d[block[first]], groups, log_d[group_block], cutoff,
+            eigenvalue_block, by_block, np.cumsum(counts) - counts, len(ham))
 
 
 def _star_cells(plan: tuple, temperatures: np.ndarray) -> np.ndarray:
-    """``SpinStarModel._cells`` over one run of temperatures.
-
-    Every reduction over sectors or groups runs along the last axis,
-    one temperature per row, so that a run of one temperature and a
-    run of many round alike.
-    """
-    sectors, sector_log_d, groups, group_log_d, cutoff, group_block, by_block, starts, _ = plan
-    weights = [_boltzmann(exc.ravel(), temperatures).reshape(-1, *exc.shape)
-               for exc, _ in sectors]
-    # log Z by a log-sum-exp over the sectors; a sector without weight adds 0
-    with np.errstate(divide="ignore"):
-        logs = sector_log_d + np.log(np.concatenate([w.sum(axis=2) for w in weights], axis=1))
-    top = logs.max(axis=1, keepdims=True)
-    log_z = top + np.log(np.exp(logs - top).sum(axis=1, keepdims=True))
-    rho = np.concatenate(
-        [_sym((evecs * w[:, :, None, :]) @ evecs.swapaxes(1, 2)).reshape(len(w), evecs.size)
-         for (_, evecs), w in zip(sectors, weights)], axis=1)
+    """``SpinStarModel._cells`` over one run of temperatures."""
+    sectors, sector_log_d, groups, group_log_d, cutoff, eigenvalue_block, by_block, starts, _ = plan
+    rho, log_z = _gibbs(sectors, sector_log_d, temperatures)
     # The state's eigenvalues are these over Z, each d times over
-    spectra = [np.linalg.eigvalsh(rho[:, idx]) for idx in groups]
-    largest = np.concatenate([np.maximum(-s[..., 0], s[..., -1]) for s in spectra], axis=1)
-    scale = np.maximum.reduceat(largest[:, by_block], starts, axis=1)[:, group_block]
-    below = np.split(cutoff * scale, np.cumsum([len(idx) for idx in groups])[:-1], axis=1)
-    negative = np.concatenate([np.where(s < b[..., None], s, 0.0).sum(axis=2)
-                               for s, b in zip(spectra, below)], axis=1)
-    # a block's weight d / Z can overflow where its negativity is 0
-    with np.errstate(divide="ignore"):
-        e_n = np.exp(group_log_d - log_z + np.log(-negative)).sum(axis=1)
-    lowest = np.min([s[..., 0].min(axis=1) for s in spectra], axis=0)
+    spectra = _spectra(rho, groups)
+    scale = np.maximum.reduceat(np.abs(spectra)[:, by_block], starts, axis=1)
+    below = (cutoff * scale)[:, eigenvalue_block]
+    e_n, lowest = _reduce(spectra, groups, below, group_log_d - log_z)
     return np.stack([e_n, lowest * np.exp(-log_z[:, 0])], axis=1)
-
-
-def _e_n(spectrum: np.ndarray) -> float:
-    negative = spectrum[spectrum < NEGATIVE_EIGENVALUE_CUTOFF]
-    return float(-negative.sum()) if negative.size else 0.0

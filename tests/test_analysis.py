@@ -250,9 +250,10 @@ class TestNegativityGrid:
             (ModelSpec(kind="spin_half", topology="ring_nn", n_sites=6, h=0.4),
              [half_half(6), even_odd(6), from_mask("++-+--")], 2 * 924),
             # per temperature a dense solve of 144 entries, mirror halves
-            # of 36 and Bloch blocks of 48 (complex, so 2 * 48 floats)
+            # of 36 and Bloch blocks of 32 floats (the 4 solved 2 x 2
+            # blocks, complex): runs of 1, 1 and 2
             (ModelSpec(kind="harmonic", topology="ring_nn", n_sites=12, c=0.4),
-             [from_mask("+++-+--+-++-"), half_half(12), even_odd(12)], 100),
+             [from_mask("+++-+--+-++-"), half_half(12), even_odd(12)], 64),
         ],
         ids=["spin-star", "spin-ring", "harmonic-ring"],
     )

@@ -18,12 +18,16 @@ from thermaneg.spin import SpinModel, _sector_hamiltonians
 
 
 def spin_hamiltonian(**kwargs):
-    """The spin model's sector blocks of H scattered into one dense
-    2^n x 2^n matrix."""
+    """The spin model's flat sector blocks of H scattered into one dense
+    2^n x 2^n matrix: entry (u, v) of a sector block, u and v of one
+    popcount, is entry row[u] + column[v] of the flat H."""
     spec = ModelSpec(kind="spin_half", **kwargs)
+    flat, (row, column, _, _) = _sector_hamiltonians(spec)
+    states = np.arange(2**spec.n_sites)
+    u, v = np.meshgrid(states, states, indexing="ij")
+    same = popcount(u) == popcount(v)
     ham = np.zeros((2**spec.n_sites, 2**spec.n_sites))
-    for states, block in _sector_hamiltonians(spec):
-        ham[np.ix_(states, states)] = block
+    ham[same] = flat[row[u[same]] + column[v[same]]]
     return ham
 
 
@@ -259,9 +263,9 @@ class TestSpinHamiltonian:
 
     def test_matrix_is_real_symmetric(self):
         spec = ModelSpec(kind="spin_half", topology="ring_nn", n_sites=5, h=0.7)
-        for _, block in _sector_hamiltonians(spec):
-            assert np.array_equal(block, block.T)
-            assert block.dtype == np.float64
+        assert _sector_hamiltonians(spec)[0].dtype == np.float64
+        ham = spin_hamiltonian(topology="ring_nn", n_sites=5, h=0.7)
+        assert np.array_equal(ham, ham.T)
 
     def test_field_term_counts_spins(self):
         # the all-up state |000> sits at +3h, the all-down state at -3h

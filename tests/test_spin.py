@@ -183,14 +183,18 @@ class TestThermalState:
         assert np.allclose(nonzero, 1.0 / degeneracy, atol=1e-12)
 
     @pytest.mark.parametrize(
-        "topology, mask", [("ring_nn", "++---"), ("ring_nn", "+++----"), ("star", "+--"),
-                           ("star", "+----")],
+        "engine, topology, mask",
+        [pytest.param(spin_model, topology, mask, id=f"{topology}-{mask}") for topology, mask
+         in [("ring_nn", "++---"), ("ring_nn", "+++----"), ("star", "+--"), ("star", "+----")]]
+        # the collective-spin engine that make_engine builds for stars
+        + [pytest.param(lambda topology, n: SpinStarModel(n), "star", mask, id=f"collective-{mask}")
+           for mask in ["+--", "+----", "-+---", "++---"]],
     )
-    def test_degenerate_ground_space_is_kept_whole_as_t_falls_to_zero(self, topology, mask):
+    def test_degenerate_ground_space_is_kept_whole_as_t_falls_to_zero(self, engine, topology, mask):
         # rounding splits these ground energies by ~1e-15; a Gibbs state
         # that resolves the split keeps one ground state and jumps away
         # from the T = 0 mixture (ring 0.9504 against 0.5469)
-        model = spin_model(topology, len(mask))
+        model = engine(topology, len(mask))
         part = from_mask(mask, topology)
         at_zero = cell(model, 0.0, part)[0]
         for t in (1e-320, 1e-300, 1e-16, 1e-12, 1e-3):
@@ -439,19 +443,19 @@ class TestChargeBlocks:
         model = ring(8)
         parts = [even_odd(8), half_half(8), from_mask("+--+-++-")]
         model.negativity_grid([0.5, 1.0], parts)
-        key, (blocks, order) = model._plan
+        key, (blocks, log_weights) = model._plan
         labels = label_signs(parts[-1])
         assert key == labels.tobytes()
         # the half turn i -> i + 4 swaps the sides: blocks q >= 0 alone
-        # are held, and block -q reads the positions of block q
+        # are held, and each q > 0 weighs log 2 for itself and its twin
         assert swaps_the_sides("ring_nn", labels)
         q, sides = np.unique(charges(labels), return_counts=True)
         assert sum(idx.size for idx in blocks) == np.sum(sides[q >= 0] ** 2)
-        starts = np.cumsum(sides) - sides
-        for charge, start, side in zip(q, starts, sides):
-            twin = starts[q == -charge][0]
-            assert np.array_equal(order[start:start + side], order[twin:twin + side])
-        assert np.array_equal(np.unique(order), np.arange(np.sum(sides[q >= 0])))
+        # here the block sides d_q, q >= 0, all differ, so a side names its q
+        held = np.concatenate([[idx.shape[-1]] * len(idx) for idx in blocks])
+        assert sorted(held) == sorted(sides[q >= 0])
+        assert log_weights.tolist() == [0.0 if side == sides[q == 0][0] else math.log(2)
+                                        for side in held]
 
     @pytest.mark.parametrize("n", range(2, 11))
     @pytest.mark.parametrize("topology", ["ring_nn", "star"])
